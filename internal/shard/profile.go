@@ -46,6 +46,26 @@ func (k *Kernel) EnableProfile() {
 	}
 }
 
+// countLimiter attributes a window whose barrier this kernel's earliest
+// event at t set, when profiling is on: to the first live owned LP
+// (lowest ID) whose next event is at t — the LP every other shard waited
+// for.
+func (k *Kernel) countLimiter(t sim.Time) {
+	if k.prof == nil {
+		return
+	}
+	for _, lp := range k.lps {
+		if next, ok := k.nextOf(lp); ok && next == t {
+			for len(k.prof.limiter) <= lp.ID {
+				k.prof.limiter = append(k.prof.limiter, 0)
+			}
+			k.prof.limiter[lp.ID]++
+			k.prof.limitedWindows++
+			return
+		}
+	}
+}
+
 // ShardProfile is one shard's execution accounting over a profiled run.
 type ShardProfile struct {
 	Shard int

@@ -1,6 +1,13 @@
 package shard
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"df3/internal/rng"
+	"df3/internal/sim"
+)
 
 // TestProfileDeterminism is the profiler's contract: a profiled run must
 // be byte-identical to an unprofiled one — wall-clock reads are pure
@@ -40,7 +47,8 @@ func TestProfileReport(t *testing.T) {
 	if r.Windows != k.Stats().Windows || r.Windows == 0 {
 		t.Fatalf("report windows %d, kernel %d", r.Windows, k.Stats().Windows)
 	}
-	if r.LimitedWindows == 0 || r.LimitedWindows > uint64(r.Windows) {
+	// Every window but the uncounted catch-up has a barrier-setting LP.
+	if r.LimitedWindows != uint64(r.Windows) {
 		t.Fatalf("limited windows %d of %d", r.LimitedWindows, r.Windows)
 	}
 	if r.Wall <= 0 {
@@ -84,6 +92,15 @@ func TestProfileReport(t *testing.T) {
 		if r.Limiters[i].Windows > r.Limiters[i-1].Windows {
 			t.Errorf("limiters not sorted by descending windows: %+v", r.Limiters)
 		}
+	}
+	// The exact attribution pins which LP set each barrier: the lowest-ID
+	// live LP holding the minimum next event.
+	var got []string
+	for _, ls := range r.Limiters {
+		got = append(got, fmt.Sprintf("%s:%d", ls.Name, ls.Windows))
+	}
+	if want := "lp-2:13 lp-3:12 lp-1:6 lp-0:5"; strings.Join(got, " ") != want {
+		t.Errorf("limiters %s, want %s", strings.Join(got, " "), want)
 	}
 
 	// Pair attribution: the ring model sends at lookahead + Exp jitter, so
@@ -131,4 +148,90 @@ func TestEnableProfileAfterRunPanics(t *testing.T) {
 		}
 	}()
 	k.EnableProfile()
+}
+
+// msgRing is ringModel's traffic shape in SendMsg form, so the model can
+// also run split into restricted parts: every LP sends a message one step
+// around the ring on each Poisson arrival, with delay lookahead plus
+// jitter, and each delivery schedules a local follow-up on the receiver.
+func msgRing(k *Kernel, n int, until sim.Time) {
+	k.SetDecoder(func(dst *LP, kind uint32, payload []byte) (func(), error) {
+		return func() { dst.Engine.AfterTransient(0.25, func() {}) }, nil
+	})
+	lps := make([]*LP, n)
+	for i := range lps {
+		lps[i] = k.AddLP(fmt.Sprintf("lp-%d", i), sim.New(), until)
+	}
+	for i, lp := range lps {
+		stream := rng.New(42).ForkNamed(fmt.Sprintf("gen-%d", i))
+		dst := lps[(i+1)%n]
+		var arrival func()
+		arrival = func() {
+			k.SendMsg(lp, dst, k.Lookahead()+stream.Exp(0.5), 128, 1, nil)
+			if next := lp.Engine.Now() + stream.Exp(0.2); next <= until {
+				lp.Engine.AtTransient(next, arrival)
+			}
+		}
+		lp.Engine.At(stream.Exp(0.2), arrival)
+	}
+}
+
+// TestLimiterAcrossParts: the limiter is attributed where Sync places the
+// barrier, so a profiled model split into restricted in-process parts
+// attributes every window to the same LPs as the one-kernel run.
+func TestLimiterAcrossParts(t *testing.T) {
+	const n, until, lookahead = 6, 300.0, 5.0
+	build := func() *Kernel {
+		k := NewKernel(2, lookahead)
+		k.EnableProfile()
+		msgRing(k, n, until)
+		return k
+	}
+	limiters := func(ks ...*Kernel) (map[string]uint64, uint64) {
+		m, total := map[string]uint64{}, uint64(0)
+		for _, k := range ks {
+			r, _ := k.ProfileReport()
+			for _, ls := range r.Limiters {
+				m[ls.Name] += ls.Windows
+			}
+			total += r.LimitedWindows
+		}
+		return m, total
+	}
+	ref := build()
+	ref.Run(until)
+	want, wantTotal := limiters(ref)
+	if len(want) < 3 || wantTotal != uint64(ref.Stats().Windows) {
+		t.Fatalf("reference limiters %v over %d windows: model too regular to test", want, ref.Stats().Windows)
+	}
+	for _, parts := range []int{2, 3} {
+		assign := PartitionContiguous(n, parts, nil)
+		ks := make([]*Kernel, parts)
+		ps := make([]Part, parts)
+		for p := range ks {
+			ks[p] = build()
+			var owned []int
+			for i, a := range assign {
+				if a == p {
+					owned = append(owned, i)
+				}
+			}
+			ks[p].Own(owned)
+			ps[p] = ks[p]
+		}
+		sy, err := NewSync(lookahead, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sy.Run(until); err != nil {
+			t.Fatal(err)
+		}
+		got, total := limiters(ks...)
+		if fmt.Sprint(got) != fmt.Sprint(want) || total != wantTotal {
+			t.Errorf("parts=%d: limiters %v (%d windows), want %v (%d)", parts, got, total, want, wantTotal)
+		}
+		if sy.Stats().Windows != ref.Stats().Windows {
+			t.Errorf("parts=%d: %d windows, want %d", parts, sy.Stats().Windows, ref.Stats().Windows)
+		}
+	}
 }

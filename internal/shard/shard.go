@@ -31,6 +31,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -71,19 +72,14 @@ type LP struct {
 // Shard reports the shard the LP is assigned to.
 func (lp *LP) Shard() int { return lp.shard }
 
-// message is one cross-LP event: run fn on dst's engine at time at. A
-// message sent with SendMsg carries (kind, payload) instead of fn and is
-// resolved through the kernel's Decoder at delivery — the only form that
-// can cross a process boundary.
+// message is one cross-LP event in a kernel mailbox: the Msg plus, for
+// Send, the closure to run on the destination engine. A message sent with
+// SendMsg has no closure; its (Kind, Payload) is resolved through the
+// kernel's Decoder at delivery — the only form that can cross a process
+// boundary.
 type message struct {
-	at       sim.Time
-	src, dst int
-	seq      uint64
-	size     float64
-	delay    sim.Time
-	fn       func()
-	kind     uint32
-	payload  []byte
+	Msg
+	fn func()
 }
 
 // PairTraffic accounts messages and bytes that crossed one (src shard, dst
@@ -126,7 +122,8 @@ func (s Stats) Speedup() float64 {
 	return float64(s.TotalEvents) / float64(s.CriticalEvents)
 }
 
-// Kernel owns the LPs, the shard workers and the barrier machinery.
+// Kernel owns the LPs, their shard workers and mailboxes. It is a Part;
+// Run drives it through a Sync of its own.
 type Kernel struct {
 	lookahead sim.Time
 	shards    int
@@ -140,8 +137,8 @@ type Kernel struct {
 	// decoder resolves (kind, payload) messages into event closures.
 	decoder Decoder
 	// owned, when non-nil, restricts execution to the marked LPs: this
-	// kernel is one partition of a multi-node federation and runs under a
-	// Sync instead of Run. Unowned LPs exist (the whole scenario is built
+	// kernel is one partition of a multi-node federation, one of several
+	// Parts under a Sync rather than driven by Run. Unowned LPs exist (the whole scenario is built
 	// everywhere, proving every node runs the same recipe) but never
 	// advance; their traffic arrives through Deliver.
 	owned []bool
@@ -149,6 +146,9 @@ type Kernel struct {
 	// stall attribution (profile.go). Nil on unprofiled runs: the hot path
 	// pays one pointer test per window, no clock reads.
 	prof *kernelProfile
+	// loop is the Sync over this kernel alone that Run drives, created on
+	// the first Run and kept so later calls continue its barrier sequence.
+	loop *Sync
 }
 
 // NewKernel returns a kernel with the given worker count and lookahead.
@@ -305,7 +305,7 @@ func (k *Kernel) Send(src, dst *LP, delay sim.Time, size units.Byte, fn func()) 
 // Send, resolved by the kernel's Decoder at delivery time. Same clock and
 // lookahead contract as Send.
 func (k *Kernel) SendMsg(src, dst *LP, delay sim.Time, size units.Byte, kind uint32, payload []byte) {
-	k.send(src, dst, delay, size, message{kind: kind, payload: payload})
+	k.send(src, dst, delay, size, message{Msg: Msg{Kind: kind, Payload: payload}})
 }
 
 func (k *Kernel) send(src, dst *LP, delay sim.Time, size units.Byte, m message) {
@@ -316,11 +316,11 @@ func (k *Kernel) send(src, dst *LP, delay sim.Time, size units.Byte, m message) 
 		panic(fmt.Sprintf("shard: %q→%q delay %v violates lookahead %v",
 			src.Name, dst.Name, delay, k.lookahead))
 	}
-	m.at = src.Engine.Now() + delay
-	m.src, m.dst = src.ID, dst.ID
-	m.seq = src.seq
-	m.size = float64(size)
-	m.delay = delay
+	m.At = src.Engine.Now() + delay
+	m.Src, m.Dst = src.ID, dst.ID
+	m.Seq = src.seq
+	m.Size = float64(size)
+	m.Delay = delay
 	src.outbox = append(src.outbox, m)
 	src.seq++
 }
@@ -350,82 +350,24 @@ func (k *Kernel) Stats() Stats { return k.stats }
 
 // Run advances every LP to min(until, its own horizon) through conservative
 // windows, parallel across shards, barrier-synchronized, mailbox-drained.
+// It is Sync over this kernel as the only Part: the Sync is created on the
+// first call and kept, so successive calls (a paced driver's slices, a
+// replay's advances) continue one barrier sequence and Stats().Windows
+// accumulates across them. Any delivery failure — a message into a
+// receiver's past, a payload the decoder rejects — is a scenario bug on
+// the serial path, and Run panics with it.
 func (k *Kernel) Run(until sim.Time) {
-	k.ran = true
-	for {
-		end, any := k.nextBarrier(until)
-		if !any {
-			break
+	if k.loop == nil {
+		s, err := NewSync(k.lookahead, []Part{k})
+		if err != nil {
+			panic(err)
 		}
-		k.runWindow(end)
-		k.flush()
-		k.now = end
-		k.stats.Windows++
-		if end >= until {
-			break
-		}
+		k.loop = s
 	}
-	// Catch-up window: events sitting exactly at `until` (outside any
-	// barrier, since windows end strictly after the events that define
-	// them) still fire, their sends are drained, and every LP's clock is
-	// left at min(until, its horizon) — exactly as a serial
-	// Engine.Run(until) per LP would leave it.
-	k.runWindow(until)
-	k.flush()
-	if k.now < until {
-		k.now = until
+	if err := k.loop.Run(until); err != nil {
+		panic(err)
 	}
-}
-
-// nextBarrier picks the next window end: the earliest pending event across
-// live LPs plus the lookahead, clamped to `until`. It reports false when no
-// LP has work left before `until`.
-func (k *Kernel) nextBarrier(until sim.Time) (sim.Time, bool) {
-	if k.now >= until {
-		return 0, false
-	}
-	if k.lookahead == Infinite {
-		// Independent LPs: one window runs everything to its horizon.
-		return until, k.stats.Windows == 0
-	}
-	next := until
-	any := false
-	limiter := -1
-	for _, lp := range k.lps {
-		if lp.done || !k.owns(lp) {
-			continue
-		}
-		if t, ok := lp.Engine.NextEventTime(); ok && t <= lp.Until && t < next {
-			next = t
-			any = true
-			limiter = lp.ID
-		}
-	}
-	if !any {
-		return 0, false
-	}
-	if k.prof != nil && limiter >= 0 {
-		// This LP's min-next-event set the barrier: every other shard will
-		// idle once its own work inside the window drains.
-		for len(k.prof.limiter) <= limiter {
-			k.prof.limiter = append(k.prof.limiter, 0)
-		}
-		k.prof.limiter[limiter]++
-		k.prof.limitedWindows++
-	}
-	end := next + k.lookahead
-	if end > until {
-		end = until
-	}
-	// Guard against a zero-width window when an event sits exactly at the
-	// previous barrier with lookahead already consumed by clamping.
-	if end <= k.now {
-		end = k.now + k.lookahead
-		if end > until {
-			end = until
-		}
-	}
-	return end, true
+	k.stats.Windows = k.loop.stats.Windows
 }
 
 // runWindow advances every live LP to min(end, its horizon), one worker
@@ -497,47 +439,25 @@ func (k *Kernel) runWindow(end sim.Time) {
 	k.stats.CriticalEvents += max
 }
 
-// flush drains every outbox, sorts the messages into their global
-// deterministic order and schedules them onto the destination engines.
-// Delivery happens on the coordinating goroutine, strictly between windows.
-func (k *Kernel) flush() {
-	var batch []message
-	for _, lp := range k.lps {
-		batch = append(batch, lp.outbox...)
-		lp.outbox = lp.outbox[:0]
-	}
-	if err := k.deliverBatch(batch); err != nil {
-		// On the serial path a message that cannot be resolved is a
-		// scenario bug, exactly like a lookahead violation.
-		panic(err)
-	}
-}
-
 // deliverBatch sorts a message batch into (at, src, seq) order, resolves
 // payload messages through the decoder and schedules every message onto
-// its destination engine, with boundary-traffic accounting.
+// its destination engine, with boundary-traffic accounting. Delivery
+// happens strictly between windows.
 func (k *Kernel) deliverBatch(batch []message) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	sort.Slice(batch, func(i, j int) bool {
-		a, b := batch[i], batch[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.seq < b.seq
-	})
+	sort.Slice(batch, func(i, j int) bool { return batch[i].before(&batch[j].Msg) })
 	for _, m := range batch {
-		dst := k.lps[m.dst]
-		if m.at < dst.Engine.Now() {
-			panic(fmt.Sprintf("shard: message %q→%q at %v arrives in receiver past %v (lookahead too large?)",
-				k.lps[m.src].Name, dst.Name, m.at, dst.Engine.Now()))
+		src, dst := k.lps[m.Src], k.lps[m.Dst]
+		if math.IsNaN(m.At) {
+			return fmt.Errorf("shard: message %q→%q has a NaN arrival time", src.Name, dst.Name)
+		}
+		if m.At < dst.Engine.Now() {
+			return fmt.Errorf("shard: message %q→%q at %v arrives in receiver past %v (lookahead too large?)",
+				src.Name, dst.Name, m.At, dst.Engine.Now())
 		}
 		k.stats.Sent++
-		src := k.lps[m.src]
 		pair := [2]int{src.shard, dst.shard}
 		pt := k.boundary[pair]
 		if pt == nil {
@@ -545,9 +465,9 @@ func (k *Kernel) deliverBatch(batch []message) error {
 			k.boundary[pair] = pt
 		}
 		pt.Messages++
-		pt.Bytes += m.size
-		if pt.Messages == 1 || m.delay < pt.MinDelay {
-			pt.MinDelay = m.delay
+		pt.Bytes += m.Size
+		if pt.Messages == 1 || m.Delay < pt.MinDelay {
+			pt.MinDelay = m.Delay
 		}
 		if src.shard != dst.shard {
 			k.stats.CrossShard++
@@ -555,26 +475,27 @@ func (k *Kernel) deliverBatch(batch []message) error {
 		fn := m.fn
 		if fn == nil {
 			if k.decoder == nil {
-				return fmt.Errorf("shard: message kind %d for %q but no decoder registered", m.kind, dst.Name)
+				return fmt.Errorf("shard: message kind %d for %q but no decoder registered", m.Kind, dst.Name)
 			}
 			var err error
-			fn, err = k.decoder(dst, m.kind, m.payload)
+			fn, err = k.decoder(dst, m.Kind, m.Payload)
 			if err != nil {
-				return fmt.Errorf("shard: decode message kind %d for %q: %w", m.kind, dst.Name, err)
+				return fmt.Errorf("shard: decode message kind %d for %q: %w", m.Kind, dst.Name, err)
 			}
 		}
-		dst.Engine.At(m.at, fn)
+		dst.Engine.At(m.At, fn)
 		// A delivered message can revive a drained LP.
-		if m.at <= dst.Until {
+		if m.At <= dst.Until {
 			dst.done = false
 		}
 	}
 	return nil
 }
 
-// The Part implementation: a kernel, usually restricted by Own, as one
-// partition under a Sync coordinator. The methods run strictly between
-// windows on the coordinator's goroutine (or a worker's session loop).
+// The Part implementation: a kernel as one partition under a Sync — the
+// only one under Kernel.Run, or one of several when restricted by Own.
+// The methods run strictly between windows on the coordinator's goroutine
+// (or a worker's session loop).
 
 // OwnedLPs returns the IDs of the LPs this kernel executes.
 func (k *Kernel) OwnedLPs() ([]int, error) {
@@ -592,14 +513,21 @@ func (k *Kernel) OwnedLPs() ([]int, error) {
 func (k *Kernel) NextEvent() (sim.Time, bool, error) {
 	best, any := sim.Time(0), false
 	for _, lp := range k.lps {
-		if lp.done || !k.owns(lp) {
-			continue
-		}
-		if t, ok := lp.Engine.NextEventTime(); ok && t <= lp.Until && (!any || t < best) {
+		if t, ok := k.nextOf(lp); ok && (!any || t < best) {
 			best, any = t, true
 		}
 	}
 	return best, any, nil
+}
+
+// nextOf returns lp's earliest pending event if this kernel still runs
+// the LP and the event lies within its horizon.
+func (k *Kernel) nextOf(lp *LP) (sim.Time, bool) {
+	if lp.done || !k.owns(lp) {
+		return 0, false
+	}
+	t, ok := lp.Engine.NextEventTime()
+	return t, ok && t <= lp.Until
 }
 
 // RunWindow advances the owned LPs to `end` (parallel across the kernel's
@@ -610,6 +538,9 @@ func (k *Kernel) NextEvent() (sim.Time, bool, error) {
 // messages — per-engine delivery order, the only order an engine can
 // observe, is identical either way.
 func (k *Kernel) RunWindow(end sim.Time) (WindowResult, error) {
+	if math.IsNaN(end) {
+		return WindowResult{}, fmt.Errorf("shard: window end is NaN")
+	}
 	k.ran = true
 	k.runWindow(end)
 	res := WindowResult{PerShard: append([]uint64(nil), k.perShard...)}
@@ -617,19 +548,16 @@ func (k *Kernel) RunWindow(end sim.Time) (WindowResult, error) {
 	var local []message
 	for _, lp := range k.lps {
 		for _, m := range lp.outbox {
-			if k.owns(k.lps[m.dst]) {
+			if k.owns(k.lps[m.Dst]) {
 				local = append(local, m)
 				continue
 			}
 			if m.fn != nil {
 				return WindowResult{}, fmt.Errorf(
 					"shard: closure message %q→%q cannot cross a partition boundary (use SendMsg)",
-					k.lps[m.src].Name, k.lps[m.dst].Name)
+					k.lps[m.Src].Name, k.lps[m.Dst].Name)
 			}
-			res.Msgs = append(res.Msgs, Msg{
-				At: m.at, Src: m.src, Dst: m.dst, Seq: m.seq,
-				Size: m.size, Delay: m.delay, Kind: m.kind, Payload: m.payload,
-			})
+			res.Msgs = append(res.Msgs, m.Msg)
 		}
 		lp.outbox = lp.outbox[:0]
 	}
@@ -646,21 +574,23 @@ func (k *Kernel) RunWindow(end sim.Time) (WindowResult, error) {
 
 // Deliver schedules partition-bound messages (already globally sorted by
 // the coordinator; re-sorting locally is a no-op on sorted input) onto
-// the owned destination engines.
+// the owned destination engines. A message naming an LP the kernel does
+// not have, a destination it does not own, or an arrival time that is
+// NaN or in the destination's past is refused with an error.
 func (k *Kernel) Deliver(batch []Msg) error {
 	k.ran = true
 	msgs := make([]message, len(batch))
 	for i, m := range batch {
+		if m.Src < 0 || m.Src >= len(k.lps) {
+			return fmt.Errorf("shard: delivery from LP %d, kernel has %d", m.Src, len(k.lps))
+		}
 		if m.Dst < 0 || m.Dst >= len(k.lps) {
 			return fmt.Errorf("shard: delivery for LP %d, kernel has %d", m.Dst, len(k.lps))
 		}
 		if !k.owns(k.lps[m.Dst]) {
 			return fmt.Errorf("shard: delivery for LP %d, which this partition does not own", m.Dst)
 		}
-		msgs[i] = message{
-			at: m.At, src: m.Src, dst: m.Dst, seq: m.Seq,
-			size: m.Size, delay: m.Delay, kind: m.Kind, payload: m.Payload,
-		}
+		msgs[i] = message{Msg: m}
 	}
 	return k.deliverBatch(msgs)
 }

@@ -1,14 +1,15 @@
 // Transport abstraction under the kernel's mailbox layer.
 //
-// The in-process Kernel runs every LP itself; a federation that outgrows
-// one process splits its LPs into partitions, each executed by a Part.
-// A Part is the window-protocol view of one partition: report the
-// earliest pending event, run a bounded window, hand over the messages
-// that left the partition, accept the sorted messages that enter it.
-// *Kernel itself implements Part (Own restricts execution to the local
-// partition), and internal/wire implements it over a socket — the same
-// conservative barriers and (at, src, seq) ordering either way, which is
-// what keeps an N-node run byte-identical to serial.
+// Sync is the module's one conservative-window loop, run over Parts. A
+// Part is the window-protocol view of one partition of the LPs: report
+// the earliest pending event, run a bounded window, hand over the
+// messages that left the partition, accept the sorted messages that
+// enter it. *Kernel implements Part — Own restricts execution to the
+// local partition — and Kernel.Run is Sync over the kernel as its only
+// Part; internal/wire implements Part over a socket. A serial run, N
+// in-process partitions and N nodes therefore share one barrier
+// sequence and one (at, src, seq) ordering, which is what keeps an
+// N-node run byte-identical to serial.
 //
 // Closures cannot cross a process boundary, so partition-crossing
 // messages are data: a kind tag plus an opaque payload, resolved into an
@@ -83,23 +84,26 @@ type Part interface {
 // SortMsgs puts a message batch into the kernel's deterministic delivery
 // order: (arrival time, sender LP, sender sequence).
 func SortMsgs(batch []Msg) {
-	sort.Slice(batch, func(i, j int) bool {
-		a, b := batch[i], batch[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		return a.Seq < b.Seq
-	})
+	sort.Slice(batch, func(i, j int) bool { return batch[i].before(&batch[j]) })
 }
 
-// Sync is the multi-partition coordinator: the same conservative window
-// loop Kernel.Run executes, lifted over Parts. One local Kernel as the
-// only Part reproduces Kernel.Run exactly; N wire.Clients run the same
-// loop across processes. Stats mirror the serial kernel's: the critical
-// path is the per-window busiest shard across every partition.
+// before is the delivery order SortMsgs and every kernel mailbox share.
+func (a *Msg) before(b *Msg) bool {
+	if a.At != b.At {
+		return a.At < b.At
+	}
+	if a.Src != b.Src {
+		return a.Src < b.Src
+	}
+	return a.Seq < b.Seq
+}
+
+// Sync is the conservative-window coordinator over Parts. Kernel.Run is
+// Sync over one unrestricted kernel; df3coord runs it over N restricted
+// kernels in process or N wire.Clients across processes. Stats merge the
+// parts' accounting: the critical path is the per-window busiest shard
+// across every partition. When the part that set a barrier is a profiled
+// *Kernel, Sync has it attribute the window to its limiter LP.
 type Sync struct {
 	lookahead sim.Time
 	parts     []Part
@@ -145,9 +149,13 @@ func (s *Sync) Stats() Stats { return s.stats }
 // traffic that goes over the wire in a multi-node run.
 func (s *Sync) Boundary() int64 { return s.boundary }
 
-// Run advances every partition to `until` through conservative windows —
-// the distributed twin of Kernel.Run, including its catch-up window for
-// events sitting exactly at the horizon.
+// Run advances every partition to `until` through conservative windows,
+// then runs a catch-up window to `until`: events sitting exactly at the
+// horizon (outside any barrier, since windows end strictly after the
+// events that define them) still fire, their sends are delivered, and
+// every LP's clock is left at min(until, its horizon) — exactly as a
+// serial Engine.Run(until) per LP would leave it. The catch-up window is
+// not counted in Stats().Windows.
 func (s *Sync) Run(until sim.Time) error {
 	for {
 		end, any, err := s.nextBarrier(until)
@@ -177,7 +185,10 @@ func (s *Sync) Run(until sim.Time) error {
 
 // nextBarrier gathers every partition's earliest event (concurrently —
 // remote partitions answer over the network) and picks the next window
-// end exactly as Kernel.nextBarrier does.
+// end: the earliest event plus the lookahead, clamped to `until`. It
+// reports false when no partition has work before `until`; independent
+// LPs (Infinite lookahead) get one window to `until`. The limiter is the
+// lowest-index part holding the earliest event.
 func (s *Sync) nextBarrier(until sim.Time) (sim.Time, bool, error) {
 	if s.now >= until {
 		return 0, false, nil
@@ -196,23 +207,27 @@ func (s *Sync) nextBarrier(until sim.Time) (sim.Time, bool, error) {
 		props[i] = proposal{t: t, has: has, err: err}
 	})
 	next := until
-	any := false
+	limiter := -1
 	for i, pr := range props {
 		if pr.err != nil {
 			return 0, false, fmt.Errorf("shard: partition %d: %w", i, pr.err)
 		}
 		if pr.has && pr.t < next {
-			next = pr.t
-			any = true
+			next, limiter = pr.t, i
 		}
 	}
-	if !any {
+	if limiter < 0 {
 		return 0, false, nil
+	}
+	if k, ok := s.parts[limiter].(*Kernel); ok {
+		k.countLimiter(next)
 	}
 	end := next + s.lookahead
 	if end > until {
 		end = until
 	}
+	// Guard against a zero-width window when an event sits exactly at the
+	// previous barrier with lookahead already consumed by clamping.
 	if end <= s.now {
 		end = s.now + s.lookahead
 		if end > until {

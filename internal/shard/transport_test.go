@@ -3,6 +3,7 @@ package shard
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -68,8 +69,9 @@ func (s *pingScenario) fingerprint() string {
 	return b.String()
 }
 
-// TestSyncMatchesKernelRun: the Sync loop over partitioned kernels (the
-// multi-node shape, in process) must be byte-identical to Kernel.Run.
+// TestSyncMatchesKernelRun: 1, 2 and 3 restricted parts of two shards
+// each (the multi-node shape, in process) must reproduce the one-part
+// run, Kernel.Run on a single unrestricted kernel, byte for byte.
 func TestSyncMatchesKernelRun(t *testing.T) {
 	const n, horizon = 7, 50
 	ref := buildPing(1, n, horizon)
@@ -120,31 +122,6 @@ func TestSyncMatchesKernelRun(t *testing.T) {
 	}
 }
 
-// TestSyncSingleKernelStats: one unrestricted kernel under Sync reports
-// the same windows/messages/critical path as Kernel.Run would.
-func TestSyncSingleKernelStats(t *testing.T) {
-	const n, horizon = 5, 40
-	ref := buildPing(2, n, horizon)
-	ref.k.Run(horizon)
-
-	under := buildPing(2, n, horizon)
-	sy, err := NewSync(3, []Part{under.k})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sy.Run(horizon); err != nil {
-		t.Fatal(err)
-	}
-	got, want := sy.Stats(), ref.k.Stats()
-	if got.Windows != want.Windows || got.TotalEvents != want.TotalEvents ||
-		got.CriticalEvents != want.CriticalEvents || got.Sent != want.Sent {
-		t.Errorf("stats %+v, want %+v", got, want)
-	}
-	if under.fingerprint() != ref.fingerprint() {
-		t.Errorf("fingerprint %s, want %s", under.fingerprint(), ref.fingerprint())
-	}
-}
-
 // TestClosureCannotCrossPartition: a closure message whose destination is
 // unowned must fail the window, not be silently dropped or misdelivered.
 func TestClosureCannotCrossPartition(t *testing.T) {
@@ -164,12 +141,29 @@ func TestClosureCannotCrossPartition(t *testing.T) {
 	}
 }
 
-// TestDeliverRejectsUnowned: delivery addressed outside the partition is
-// a routing bug and must be refused.
+// TestWindowEndNaNRejected: a NaN window end compares false against every
+// horizon, so it would run every LP to completion; it must fail instead.
+func TestWindowEndNaNRejected(t *testing.T) {
+	k := NewKernel(1, 3)
+	a := k.AddLP("a", sim.New(), 100)
+	fired := false
+	a.Engine.AtTransient(50, func() { fired = true })
+	if _, err := k.RunWindow(math.NaN()); err == nil {
+		t.Fatal("RunWindow accepted a NaN window end")
+	}
+	if fired || a.Engine.Now() != 0 {
+		t.Fatalf("NaN window advanced the LP to %v (fired %v)", a.Engine.Now(), fired)
+	}
+}
+
+// TestDeliverRejectsUnowned: delivery addressed outside the partition, or
+// naming a sender or arrival time the kernel cannot order, is a routing
+// bug and must be refused rather than crash or be dropped.
 func TestDeliverRejectsUnowned(t *testing.T) {
 	k := NewKernel(1, 3)
 	k.AddLP("a", sim.New(), 100)
 	k.AddLP("b", sim.New(), 100)
+	k.SetDecoder(func(*LP, uint32, []byte) (func(), error) { return func() {}, nil })
 	k.Own([]int{0})
 	err := k.Deliver([]Msg{{At: 5, Src: 0, Dst: 1, Kind: 1}})
 	if err == nil || !strings.Contains(err.Error(), "own") {
@@ -177,6 +171,18 @@ func TestDeliverRejectsUnowned(t *testing.T) {
 	}
 	if err := k.Deliver([]Msg{{At: 5, Src: 0, Dst: 9, Kind: 1}}); err == nil {
 		t.Fatal("Deliver accepted an out-of-range LP")
+	}
+	if err := k.Deliver([]Msg{{At: 5, Src: 9, Dst: 0, Kind: 1}}); err == nil {
+		t.Fatal("Deliver accepted an out-of-range sender")
+	}
+	if err := k.Deliver([]Msg{{At: math.NaN(), Src: 1, Dst: 0, Kind: 1}}); err == nil {
+		t.Fatal("Deliver accepted a NaN arrival time")
+	}
+	if _, err := k.RunWindow(10); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Deliver([]Msg{{At: 5, Src: 1, Dst: 0, Kind: 1}}); err == nil {
+		t.Fatal("Deliver accepted an arrival before the receiver's clock")
 	}
 }
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -155,6 +156,39 @@ func TestSessionRequiresAssignFirst(t *testing.T) {
 		t.Errorf("NextEvent error = %v, want 'before Assign'", err)
 	}
 	<-done
+}
+
+// TestSessionRejectsInvalidWindowInputs: a window end or delivery the
+// worker's kernel cannot honour is answered with an error frame and ends
+// the session, instead of crashing the worker or running on.
+func TestSessionRejectsInvalidWindowInputs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		call func(*Client) error
+		want string
+	}{
+		{"NaN window end", func(cl *Client) error {
+			_, err := cl.RunWindow(math.NaN())
+			return err
+		}, "NaN"},
+		{"sender out of range", func(cl *Client) error {
+			return cl.Deliver([]shard.Msg{{At: 1, Src: 99, Dst: 0, Kind: city.MsgKindInterCityJob}})
+		}, "from LP 99"},
+		{"NaN arrival", func(cl *Client) error {
+			return cl.Deliver([]shard.Msg{{At: math.NaN(), Src: 1, Dst: 0, Kind: city.MsgKindInterCityJob}})
+		}, "NaN"},
+	} {
+		cl, done := startWorker(t, tc.name)
+		if _, err := cl.Assign(Assign{Recipe: testSpec().Marshal(), Shards: 1, Owned: []int{0}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.call(cl); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error = %v, want substring %q", tc.name, err, tc.want)
+		}
+		if err := <-done; err == nil {
+			t.Errorf("%s: session exited nil", tc.name)
+		}
+	}
 }
 
 // TestClientBrokenStaysBroken: after one failed round trip every later
