@@ -144,8 +144,9 @@ func (c daemonConfig) validate() error {
 		return fmt.Errorf("-checkpoint-every requires -checkpoint-dir")
 	}
 	if c.checkpointDir != "" {
-		// The WAL is what recovery replays; checkpoints only bound how much
-		// of it must be re-executed. One without the other cannot recover.
+		// The WAL is what recovery replays, all of it; a checkpoint is the
+		// point where the replay is verified. A checkpoint alone cannot
+		// recover.
 		if c.arrivalLog == "" {
 			return fmt.Errorf("-checkpoint-dir requires -arrival-log (the arrival log is the WAL recovery replays)")
 		}

@@ -329,13 +329,13 @@ func openWAL(cfg daemonConfig, lcfg *api.LiveConfig) (*os.File, error) {
 }
 
 // loadCheckpoint returns the newest usable checkpoint, or nil when
-// recovery must replay the whole WAL instead: none exist, or the newest
-// claims to cover more WAL bytes than are durable. The protocol fsyncs
-// the WAL before each checkpoint write, so that can only mean the WAL
-// file was damaged or swapped — distrust the snapshot, trust the log. A
-// recipe mismatch is fatal rather than skippable: the WAL and checkpoints
-// describe a different scenario, and replaying them into this build would
-// silently fork history.
+// recovery replays the WAL with nothing to verify against: none exist,
+// or the newest claims to cover more WAL bytes than are durable. The
+// protocol fsyncs the WAL before each checkpoint write, so that can only
+// mean the WAL file was damaged or swapped — distrust the snapshot,
+// trust the log. A recipe mismatch is fatal rather than skippable: the
+// WAL and checkpoints describe a different scenario, and replaying them
+// into this build would silently fork history.
 func loadCheckpoint(cfg daemonConfig, recipe []byte, durable int64) *checkpoint.Snapshot {
 	snap, path, skipped, err := checkpoint.Latest(cfg.checkpointDir)
 	for _, name := range skipped {

@@ -184,7 +184,8 @@ func TestLiveAdmissionSheds(t *testing.T) {
 }
 
 // TestLiveNDJSONIngest: the streaming endpoint answers one result per
-// input line, in input order, and a malformed line fails alone.
+// input line, in input order, and a malformed line fails alone. A line of
+// \f is not JSON whitespace, so it is a malformed line, not a blank one.
 func TestLiveNDJSONIngest(t *testing.T) {
 	_, ts := newLiveRig(t, LiveConfig{})
 	stream := strings.Join([]string{
@@ -192,6 +193,7 @@ func TestLiveNDJSONIngest(t *testing.T) {
 		`not json`,
 		`{"kind":"dcc","tenant":2,"frame_work_s":[2,4]}`,
 		`{"kind":"edge","tenant":3,"work_s":-1}`,
+		"\f",
 	}, "\n")
 	resp, err := http.Post(ts.URL+"/v1/ingest", "application/x-ndjson", strings.NewReader(stream))
 	if err != nil {
@@ -219,8 +221,8 @@ func TestLiveNDJSONIngest(t *testing.T) {
 		}
 		lines = append(lines, ln)
 	}
-	if len(lines) != 4 {
-		t.Fatalf("got %d result lines, want 4", len(lines))
+	if len(lines) != 5 {
+		t.Fatalf("got %d result lines, want 5", len(lines))
 	}
 	for i, ln := range lines {
 		if ln.Index != i {
@@ -235,6 +237,9 @@ func TestLiveNDJSONIngest(t *testing.T) {
 	}
 	if lines[2].Outcome != "done" || lines[2].Tasks != 2 {
 		t.Errorf("line 2 = %+v, want done with 2 tasks", lines[2])
+	}
+	if !strings.HasPrefix(lines[4].Error, "bad line: ") {
+		t.Errorf("form feed line 4 = %+v, want a bad line error", lines[4])
 	}
 }
 
