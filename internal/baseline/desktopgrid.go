@@ -72,7 +72,7 @@ func NewDesktopGrid(e *sim.Engine, n int, seed uint64) *DesktopGrid {
 		g.pcs = append(g.pcs, pc)
 		g.scheduleToggle(pc)
 		// Pull model: each client polls for work on its own phase.
-		e.After(g.stream.Uniform(0, float64(g.PollInterval)), func() {
+		e.AfterTransient(g.stream.Uniform(0, float64(g.PollInterval)), func() {
 			g.poll(pc)
 		})
 	}
@@ -87,7 +87,7 @@ func (g *DesktopGrid) poll(pc *GridPC) {
 			g.queue = g.queue[1:]
 		}
 	}
-	g.engine.After(g.PollInterval, func() { g.poll(pc) })
+	g.engine.AfterTransient(g.PollInterval, func() { g.poll(pc) })
 }
 
 // PCs returns the volunteer machines.
@@ -99,7 +99,7 @@ func (g *DesktopGrid) scheduleToggle(pc *GridPC) {
 	if pc.OwnerPresent {
 		mean = g.MeanPresent
 	}
-	g.engine.After(g.stream.Exp(1/mean), func() {
+	g.engine.AfterTransient(g.stream.Exp(1/mean), func() {
 		pc.OwnerPresent = !pc.OwnerPresent
 		if pc.OwnerPresent {
 			if pc.M.RunningTasks() > 0 {
@@ -121,7 +121,7 @@ func (g *DesktopGrid) Submit(r workload.EdgeRequest) {
 		req.deadline = g.engine.Now() + r.Deadline
 	}
 	// Requester → coordinator path.
-	g.engine.After(g.PathDelay, func() {
+	g.engine.AfterTransient(g.PathDelay, func() {
 		g.queue = append(g.queue, req)
 	})
 }
@@ -130,7 +130,7 @@ func (g *DesktopGrid) Submit(r workload.EdgeRequest) {
 func (g *DesktopGrid) startOn(pc *GridPC, req *gridReq) {
 	task := &server.Task{Work: req.work}
 	task.OnDone = func(at sim.Time) {
-		g.engine.After(g.PathDelay, func() {
+		g.engine.AfterTransient(g.PathDelay, func() {
 			lat := g.engine.Now() - req.arrival
 			g.Latency.Observe(lat)
 			g.Served.Inc()

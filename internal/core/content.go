@@ -59,7 +59,7 @@ func (mw *Middleware) SubmitContent(c *Cluster, device network.NodeID, id uint64
 	}
 	// Device → gateway request (small).
 	ok := mw.Net.Send(device, c.EdgeGW, 400, func(sim.Time) {
-		mw.Engine.After(mw.cfg.GatewayOverhead, func() {
+		mw.Engine.AfterTransient(mw.cfg.GatewayOverhead, func() {
 			if _, hit := c.content.Get(id); hit {
 				mw.Content.CacheHits.Inc()
 				if !mw.Net.Send(c.EdgeGW, device, size, finish) {

@@ -220,7 +220,7 @@ func (mw *Middleware) loseEdge(req *edgeReq) {
 func (mw *Middleware) resubmit(req *edgeReq) {
 	c := req.home
 	ok := mw.Net.SendTraced(req.origin, c.EdgeGW, req.input, req.span, func(sim.Time) {
-		mw.Engine.After(mw.cfg.GatewayOverhead, func() { mw.decide(c, req) })
+		mw.Engine.AfterTransient(mw.cfg.GatewayOverhead, func() { mw.decide(c, req) })
 	}, func() { mw.loseEdge(req) })
 	if !ok {
 		mw.waitOrReject(req)
@@ -361,7 +361,7 @@ func (mw *Middleware) SubmitEdgeOutcome(c *Cluster, device network.NodeID, r wor
 	// Device → gateway transfer, then the gateway's processing delay,
 	// then decide.
 	ok := mw.Net.SendTraced(device, c.EdgeGW, r.Input, req.span, func(sim.Time) {
-		mw.Engine.After(mw.cfg.GatewayOverhead, func() { mw.decide(c, req) })
+		mw.Engine.AfterTransient(mw.cfg.GatewayOverhead, func() { mw.decide(c, req) })
 	}, func() { mw.loseEdge(req) })
 	if !ok {
 		mw.waitOrReject(req)
@@ -402,7 +402,7 @@ func (mw *Middleware) SubmitEdgeDirect(c *Cluster, device network.NodeID, w *Wor
 		}
 		// Forward from the worker to the gateway and decide there.
 		ok := mw.Net.SendTraced(w.Node, c.EdgeGW, r.Input, req.span, func(sim.Time) {
-			mw.Engine.After(mw.cfg.GatewayOverhead, func() { mw.decide(c, req) })
+			mw.Engine.AfterTransient(mw.cfg.GatewayOverhead, func() { mw.decide(c, req) })
 		}, func() { mw.loseEdge(req) })
 		if !ok {
 			mw.waitOrReject(req)
@@ -580,7 +580,7 @@ func (mw *Middleware) forwardHorizontal(c *Cluster, req *edgeReq) {
 	ok := mw.Net.SendTraced(c.EdgeGW, target.EdgeGW, req.input, req.span, func(sim.Time) {
 		// Responses will flow back through the remote gateway; the origin
 		// stays the device, so the path is worker → remote GW → device.
-		mw.Engine.After(mw.cfg.GatewayOverhead, func() { mw.decide(target, req) })
+		mw.Engine.AfterTransient(mw.cfg.GatewayOverhead, func() { mw.decide(target, req) })
 	}, func() { mw.loseEdge(req) })
 	if !ok {
 		mw.waitOrReject(req)

@@ -52,7 +52,7 @@ func E12DesktopGrid(o Options) *Result {
 		b := c.Buildings[0]
 		for _, a := range tracefile {
 			a := a
-			c.Engine.At(a.at, func() {
+			c.Engine.AtTransient(a.at, func() {
 				c.MW.SubmitEdge(b.Cluster, b.Rooms[a.req.Device%len(b.Rooms)].Node, a.req)
 			})
 		}
@@ -73,7 +73,7 @@ func E12DesktopGrid(o Options) *Result {
 		g := baseline.NewDesktopGrid(e, 20, o.Seed)
 		for _, a := range tracefile {
 			a := a
-			e.At(a.at, func() { g.Submit(a.req) })
+			e.AtTransient(a.at, func() { g.Submit(a.req) })
 		}
 		e.Run(horizon + sim.Hour)
 		served := g.Served.Value()

@@ -2,6 +2,7 @@ package network
 
 import (
 	"testing"
+	"testing/quick"
 
 	"df3/internal/rng"
 	"df3/internal/sim"
@@ -150,5 +151,103 @@ func TestOnLossCallback(t *testing.T) {
 	e.Run(1)
 	if seen != 1 {
 		t.Fatalf("OnLoss fired %d times, want 1", seen)
+	}
+}
+
+// TestConservationUnderChurn is the pooled-record property test: many
+// overlapping multi-hop SendEx calls on a lossy fabric while links and
+// nodes fail and recover at random times, with some deliver and dropped
+// callbacks sending again. Every accepted message must fire exactly one of
+// deliver or dropped, exactly once; a refused one neither; and
+// LostMessages must equal the drops.
+func TestConservationUnderChurn(t *testing.T) {
+	prop := func(seed uint64) bool {
+		e := sim.New()
+		r := rng.New(seed)
+		f := NewFabric(e)
+		const n = 9
+		nodes := make([]NodeID, n)
+		for i := range nodes {
+			nodes[i] = f.AddNode("n")
+		}
+		// A ring with chords: multi-hop paths and detours around failures.
+		lossy := Class{Name: "lossy", Latency: 0.002, Bandwidth: 1e6}
+		for i := 0; i < n; i++ {
+			f.Connect(nodes[i], nodes[(i+1)%n], lossy)
+		}
+		for i := 0; i < n; i += 3 {
+			f.Connect(nodes[i], nodes[(i+4)%n], LAN)
+		}
+		f.SetLossRNG(r.Fork(1))
+		f.SetLoss("lossy", 0.1)
+		onLoss := 0
+		f.OnLoss = func(NodeID, NodeID, units.Byte) { onLoss++ }
+
+		var delivered, dropped []int // per accepted message
+		refused, drops := 0, 0
+		var send func(depth int)
+		send = func(depth int) {
+			id := len(delivered)
+			a, b := nodes[r.Intn(n)], nodes[r.Intn(n)]
+			ok := f.SendEx(a, b, units.Byte(1+r.Intn(20000)), func(sim.Time) {
+				delivered[id]++
+				if depth < 3 && r.Bool(0.3) {
+					send(depth + 1)
+				}
+			}, func() {
+				dropped[id]++
+				drops++
+				if depth < 3 && r.Bool(0.5) {
+					send(depth + 1)
+				}
+			})
+			if ok {
+				delivered = append(delivered, 0)
+				dropped = append(dropped, 0)
+			} else {
+				refused++
+			}
+		}
+		const horizon = 2.0
+		for i := 0; i < 400; i++ {
+			e.AtTransient(r.Uniform(0, horizon), func() { send(0) })
+		}
+		for i := 0; i < 40; i++ {
+			at := r.Uniform(0, horizon)
+			switch k := r.Intn(4); k {
+			case 0, 1:
+				p := f.Pairs()[r.Intn(len(f.Pairs()))]
+				if k == 0 {
+					e.AtTransient(at, func() { f.FailLink(p[0], p[1]) })
+				} else {
+					e.AtTransient(at, func() { f.RestoreLink(p[0], p[1]) })
+				}
+			case 2:
+				nd := nodes[r.Intn(n)]
+				e.AtTransient(at, func() { f.FailNode(nd) })
+			default:
+				nd := nodes[r.Intn(n)]
+				e.AtTransient(at, func() { f.RestoreNode(nd) })
+			}
+		}
+		e.Run(1e6)
+		for id := range delivered {
+			if delivered[id]+dropped[id] != 1 {
+				t.Logf("seed %d: message %d delivered %d, dropped %d times", seed, id, delivered[id], dropped[id])
+				return false
+			}
+		}
+		if f.LostMessages() != int64(drops) || onLoss != drops {
+			t.Logf("seed %d: LostMessages %d, OnLoss %d, drops %d", seed, f.LostMessages(), onLoss, drops)
+			return false
+		}
+		if drops == 0 || refused == 0 || len(delivered) == drops {
+			t.Logf("seed %d: degenerate run: %d accepted, %d dropped, %d refused", seed, len(delivered), drops, refused)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
 	}
 }

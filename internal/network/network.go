@@ -7,6 +7,18 @@
 // are static paths configured by the scenario builder; the fabric delivers
 // a message by walking its path hop by hop on the simulation engine.
 //
+// Once its route is cached, forwarding a message allocates nothing and
+// looks nothing up per hop. The route cache holds, per endpoint pair, the
+// node path, the directed links it resolves to and their summed latency,
+// so a send costs one cache lookup and PathLatency is that lookup alone.
+// Every accepted multi-hop message rides one transfer record from a
+// per-fabric free list, reused for each of its hops and scheduled on the
+// engine's transient path. Any topology change (Connect, link or node
+// failure and repair) empties the cache; Connect also replaces the pair's
+// Link structs, so a message already in flight finishes over the links
+// its route resolved when it was sent. Scenarios connect at build time,
+// before any message moves.
+//
 // Link classes follow the technologies the paper names (§III-B): building
 // Ethernet LAN, fibre to the Qarnot middleware, metro WAN between city
 // clusters, Internet to a remote datacenter, and the low-power IoT
@@ -43,6 +55,9 @@ type Link struct {
 	// stage is the precomputed span label ("hop:"+Class), so tracing a hop
 	// never concatenates strings on the hot path.
 	stage string
+	// loss is the class's message-loss probability (Fabric.SetLoss),
+	// copied onto the link so a hop needs no per-class lookup.
+	loss float64
 	// epoch increments on every failure, so a message injected before an
 	// outage is recognised as dead on arrival even if the link was
 	// repaired while it was in flight.
@@ -101,27 +116,32 @@ var (
 	BoilerNet = Class{Name: "boilernet", Latency: 0.0001, Bandwidth: 1.25e9}
 )
 
-// Fabric is a static-routing network on a simulation engine.
+// Fabric is a static-routing network on a simulation engine. It belongs to
+// one engine and is not safe for concurrent use.
 type Fabric struct {
 	engine *sim.Engine
 	links  map[[2]NodeID]*Link
-	adj    map[NodeID][]NodeID    // neighbours in Connect order (determinism)
-	routes map[[2]NodeID][]NodeID // precomputed paths, endpoints included
+	adj    map[NodeID][]NodeID // neighbours in Connect order (determinism)
+	// routes caches resolved paths by endpoint pair; a nil entry caches
+	// "unreachable".
+	routes map[[2]NodeID]*route
 	names  map[NodeID]string
 	nextID NodeID
 
 	// pairs records undirected links in Connect order, so scenario code
 	// can enumerate the topology deterministically (fault arming).
 	pairs [][2]NodeID
-	// nodeDown marks failed endpoints (gateway outages): no message may
-	// originate, terminate or transit there.
-	nodeDown map[NodeID]bool
+	// nodeDown marks failed endpoints (gateway outages), indexed by
+	// NodeID: no message may originate, terminate or transit there.
+	nodeDown []bool
 	// loss is the per-class message-loss probability; draws come from
 	// lossRNG and happen only for classes with a positive probability, so
 	// a fabric with no loss configured makes no draws at all.
 	loss    map[string]float64
 	lossRNG *rng.Stream
 	lost    int64
+	// free recycles transfer records (see transfer).
+	free []*transfer
 	// OnLoss, when set, observes every dropped message: random wire loss,
 	// messages dead on a failed link, and messages arriving at a failed
 	// node. Scenario layers hook it to ledger counters.
@@ -132,16 +152,23 @@ type Fabric struct {
 	Tracer *trace.Recorder
 }
 
+// route is one cached path: the nodes endpoints included, the directed
+// link of each hop, and the links' latency summed in path order.
+type route struct {
+	path    []NodeID
+	links   []*Link
+	latency sim.Time
+}
+
 // NewFabric returns an empty fabric.
 func NewFabric(e *sim.Engine) *Fabric {
 	return &Fabric{
-		engine:   e,
-		links:    map[[2]NodeID]*Link{},
-		adj:      map[NodeID][]NodeID{},
-		routes:   map[[2]NodeID][]NodeID{},
-		names:    map[NodeID]string{},
-		nodeDown: map[NodeID]bool{},
-		loss:     map[string]float64{},
+		engine: e,
+		links:  map[[2]NodeID]*Link{},
+		adj:    map[NodeID][]NodeID{},
+		routes: map[[2]NodeID]*route{},
+		names:  map[NodeID]string{},
+		loss:   map[string]float64{},
 	}
 }
 
@@ -150,6 +177,7 @@ func (f *Fabric) AddNode(name string) NodeID {
 	id := f.nextID
 	f.nextID++
 	f.names[id] = name
+	f.nodeDown = append(f.nodeDown, false)
 	return id
 }
 
@@ -157,7 +185,9 @@ func (f *Fabric) AddNode(name string) NodeID {
 func (f *Fabric) NodeName(id NodeID) string { return f.names[id] }
 
 // Connect adds a bidirectional link of the given class between a and b.
-// Reconnecting an existing pair replaces the links' parameters.
+// Reconnecting an existing pair replaces the links with fresh ones of the
+// new class; a message already in flight over the pair finishes on the
+// links its route resolved.
 func (f *Fabric) Connect(a, b NodeID, c Class) {
 	if f.links[[2]NodeID{a, b}] == nil {
 		f.adj[a] = append(f.adj[a], b)
@@ -165,9 +195,10 @@ func (f *Fabric) Connect(a, b NodeID, c Class) {
 		f.pairs = append(f.pairs, [2]NodeID{a, b})
 	}
 	stage := "hop:" + c.Name
-	f.links[[2]NodeID{a, b}] = &Link{From: a, To: b, Latency: c.Latency, Bandwidth: c.Bandwidth, Class: c.Name, stage: stage}
-	f.links[[2]NodeID{b, a}] = &Link{From: b, To: a, Latency: c.Latency, Bandwidth: c.Bandwidth, Class: c.Name, stage: stage}
-	f.routes = map[[2]NodeID][]NodeID{} // topology changed; recompute lazily
+	p := f.loss[c.Name]
+	f.links[[2]NodeID{a, b}] = &Link{From: a, To: b, Latency: c.Latency, Bandwidth: c.Bandwidth, Class: c.Name, stage: stage, loss: p}
+	f.links[[2]NodeID{b, a}] = &Link{From: b, To: a, Latency: c.Latency, Bandwidth: c.Bandwidth, Class: c.Name, stage: stage, loss: p}
+	clear(f.routes) // topology changed; recompute lazily
 }
 
 // Link returns the directed link a→b, or nil.
@@ -193,7 +224,7 @@ func (f *Fabric) FailLink(a, b NodeID) {
 		l.down = true
 		l.epoch++
 	}
-	f.routes = map[[2]NodeID][]NodeID{}
+	clear(f.routes)
 }
 
 // RestoreLink returns a failed link to service.
@@ -204,14 +235,15 @@ func (f *Fabric) RestoreLink(a, b NodeID) {
 		}
 		l.down = false
 	}
-	f.routes = map[[2]NodeID][]NodeID{}
+	clear(f.routes)
 }
 
 // FailNode severs an endpoint: every route through it dies (a failed
 // gateway cuts its whole building off the fabric), sends to or from it
 // fail, and in-flight messages addressed to it are dropped on arrival.
+// Failing an unknown or already failed node is a no-op.
 func (f *Fabric) FailNode(n NodeID) {
-	if f.nodeDown[n] {
+	if !f.known(n) || f.nodeDown[n] {
 		return
 	}
 	f.nodeDown[n] = true
@@ -219,28 +251,31 @@ func (f *Fabric) FailNode(n NodeID) {
 	for _, nb := range f.adj[n] {
 		f.FailLink(n, nb)
 	}
-	f.routes = map[[2]NodeID][]NodeID{}
+	clear(f.routes)
 }
 
 // RestoreNode returns a failed endpoint (and its links) to service. Links
 // individually failed by FailLink come back too: node repair re-provisions
 // the attachment.
 func (f *Fabric) RestoreNode(n NodeID) {
-	if !f.nodeDown[n] {
+	if !f.NodeDown(n) {
 		return
 	}
-	delete(f.nodeDown, n)
+	f.nodeDown[n] = false
 	for _, nb := range f.adj[n] {
 		// Only raise links whose far end is alive.
-		if !f.nodeDown[nb] {
+		if !f.NodeDown(nb) {
 			f.RestoreLink(n, nb)
 		}
 	}
-	f.routes = map[[2]NodeID][]NodeID{}
+	clear(f.routes)
 }
 
+// known reports whether n was returned by AddNode.
+func (f *Fabric) known(n NodeID) bool { return n >= 0 && int(n) < len(f.nodeDown) }
+
 // NodeDown reports whether the endpoint is failed.
-func (f *Fabric) NodeDown(n NodeID) bool { return f.nodeDown[n] }
+func (f *Fabric) NodeDown(n NodeID) bool { return f.known(n) && f.nodeDown[n] }
 
 // SetLoss sets the per-message loss probability for every link of the
 // named class. Call SetLossRNG first; a fabric with no positive
@@ -248,10 +283,18 @@ func (f *Fabric) NodeDown(n NodeID) bool { return f.nodeDown[n] }
 // loss-free scenarios.
 func (f *Fabric) SetLoss(class string, p float64) {
 	if p <= 0 {
+		p = 0
 		delete(f.loss, class)
-		return
+	} else {
+		f.loss[class] = p
 	}
-	f.loss[class] = p
+	for _, pr := range f.pairs {
+		for _, l := range []*Link{f.links[pr], f.links[[2]NodeID{pr[1], pr[0]}]} {
+			if l.Class == class {
+				l.loss = p
+			}
+		}
+	}
 }
 
 // SetLossRNG installs the random stream wire-loss draws come from.
@@ -275,7 +318,7 @@ func (f *Fabric) drop(from, to NodeID, size units.Byte, dropped func()) {
 // usable reports whether a message may be injected into the directed link
 // a→b right now.
 func (f *Fabric) usable(a, b NodeID) bool {
-	if f.nodeDown[a] || f.nodeDown[b] {
+	if f.NodeDown(a) || f.NodeDown(b) {
 		return false
 	}
 	l := f.links[[2]NodeID{a, b}]
@@ -284,18 +327,39 @@ func (f *Fabric) usable(a, b NodeID) bool {
 
 // Route computes (and caches) the minimum-hop path from a to b with BFS,
 // routing around failed links and failed nodes. It returns nil when b is
-// unreachable (including when either endpoint is down).
+// unreachable (including when either endpoint is down). The returned
+// slice is the cached path; callers must not modify it.
 func (f *Fabric) Route(a, b NodeID) []NodeID {
-	if f.nodeDown[a] || f.nodeDown[b] {
+	if r := f.lookup(a, b); r != nil {
+		return r.path
+	}
+	return nil
+}
+
+// lookup returns the cached route a→b, resolving it on a miss; nil when b
+// is unreachable or either endpoint is down.
+func (f *Fabric) lookup(a, b NodeID) *route {
+	if f.NodeDown(a) || f.NodeDown(b) {
 		return nil
 	}
+	k := [2]NodeID{a, b}
+	if r, ok := f.routes[k]; ok {
+		return r
+	}
+	var r *route
+	if path := f.bfs(a, b); path != nil {
+		r = f.resolve(path)
+	}
+	f.routes[k] = r
+	return r
+}
+
+// bfs returns the minimum-hop path a→b over the live link set, endpoints
+// included, or nil when b is unreachable.
+func (f *Fabric) bfs(a, b NodeID) []NodeID {
 	if a == b {
 		return []NodeID{a}
 	}
-	if r, ok := f.routes[[2]NodeID{a, b}]; ok {
-		return r
-	}
-	// BFS over the live link set.
 	prev := map[NodeID]NodeID{a: a}
 	frontier := []NodeID{a}
 	for len(frontier) > 0 {
@@ -318,7 +382,6 @@ func (f *Fabric) Route(a, b NodeID) []NodeID {
 		frontier = next
 	}
 	if _, seen := prev[b]; !seen {
-		f.routes[[2]NodeID{a, b}] = nil
 		return nil
 	}
 	var rev []NodeID
@@ -332,8 +395,19 @@ func (f *Fabric) Route(a, b NodeID) []NodeID {
 	for i := range rev {
 		path[i] = rev[len(rev)-1-i]
 	}
-	f.routes[[2]NodeID{a, b}] = path
 	return path
+}
+
+// resolve binds a path to its links. The path must run over existing
+// links.
+func (f *Fabric) resolve(path []NodeID) *route {
+	r := &route{path: path, links: make([]*Link, len(path)-1)}
+	for i := range r.links {
+		l := f.Link(path[i], path[i+1])
+		r.links[i] = l
+		r.latency += l.Latency
+	}
+	return r
 }
 
 // SetRoute overrides the path between two endpoints (must start at a and
@@ -347,22 +421,21 @@ func (f *Fabric) SetRoute(a, b NodeID, path []NodeID) error {
 			return fmt.Errorf("network: no link %d->%d on path", path[i], path[i+1])
 		}
 	}
-	f.routes[[2]NodeID{a, b}] = path
+	if a == b {
+		return nil // a node reaches itself without a hop, whatever the path
+	}
+	f.routes[[2]NodeID{a, b}] = f.resolve(path)
 	return nil
 }
 
 // PathLatency returns the summed link latency a→b ignoring serialisation,
 // or -1 when unreachable. Useful for admission decisions.
 func (f *Fabric) PathLatency(a, b NodeID) sim.Time {
-	path := f.Route(a, b)
-	if path == nil {
+	r := f.lookup(a, b)
+	if r == nil {
 		return -1
 	}
-	var total sim.Time
-	for i := 0; i+1 < len(path); i++ {
-		total += f.Link(path[i], path[i+1]).Latency
-	}
-	return total
+	return r.latency
 }
 
 // Send delivers a message of the given size from a to b, invoking deliver
@@ -391,73 +464,124 @@ func (f *Fabric) SendEx(a, b NodeID, size units.Byte, deliver func(at sim.Time),
 // decomposes down to individual links in the trace. With no Tracer it is
 // exactly SendEx — the span ids stay zero and every span call no-ops.
 func (f *Fabric) SendTraced(a, b NodeID, size units.Byte, parent trace.SpanID, deliver func(at sim.Time), dropped func()) bool {
-	path := f.Route(a, b)
-	if path == nil {
+	r := f.lookup(a, b)
+	if r == nil {
 		if f.Tracer != nil {
 			f.Tracer.Instant(f.engine.Now(), "net:unreachable", 0, parent,
 				f.names[a]+"→"+f.names[b])
 		}
 		return false
 	}
-	if len(path) == 1 { // local delivery
-		f.engine.After(0, func() { deliver(f.engine.Now()) })
+	if len(r.links) == 0 { // local delivery
+		f.engine.AfterTransient(0, func() { deliver(f.engine.Now()) })
 		return true
 	}
-	var msg trace.SpanID
+	t := f.newTransfer()
+	t.r, t.i, t.size, t.deliver, t.dropped = r, 0, size, deliver, dropped
 	if f.Tracer != nil {
-		msg = f.Tracer.BeginSpan(f.engine.Now(), "net", 0, parent)
+		t.msg = f.Tracer.BeginSpan(f.engine.Now(), "net", 0, parent)
 	}
-	f.hop(path, 0, size, msg, deliver, dropped)
+	f.hop(t)
 	return true
 }
 
-// hop forwards the message across path[i]→path[i+1] and recurses. msg is
-// the transfer's span (0 when untraced); each hop opens a child under it.
-func (f *Fabric) hop(path []NodeID, i int, size units.Byte, msg trace.SpanID, deliver func(at sim.Time), dropped func()) {
-	from, to := path[i], path[i+1]
-	if !f.usable(from, to) {
+// transfer is one accepted multi-hop message in flight. A record comes
+// from the fabric's free list when the message is accepted, is reused for
+// every hop, and goes back before deliver or dropped runs (both may send
+// again). arrive is t.arrived, bound once when the record is created, so
+// scheduling a hop allocates nothing.
+type transfer struct {
+	f       *Fabric
+	r       *route
+	i       int // index into r.links of the hop in flight
+	size    units.Byte
+	msg, hs trace.SpanID // transfer and hop spans; 0 when untraced
+	lose    bool         // random wire loss drawn at injection
+	epoch   uint32       // the link's epoch at injection
+	deliver func(at sim.Time)
+	dropped func()
+	arrive  func()
+}
+
+// newTransfer takes a record from the free list, or makes one.
+func (f *Fabric) newTransfer() *transfer {
+	if n := len(f.free); n > 0 {
+		t := f.free[n-1]
+		f.free = f.free[:n-1]
+		return t
+	}
+	t := &transfer{f: f}
+	t.arrive = t.arrived
+	return t
+}
+
+// release returns t to the free list, dropping its callbacks and route so
+// they stay collectable.
+func (f *Fabric) release(t *transfer) {
+	t.r, t.deliver, t.dropped, t.msg, t.hs = nil, nil, nil, 0, 0
+	f.free = append(f.free, t)
+}
+
+// dropAt releases t and accounts its message as dropped on hop l.
+func (f *Fabric) dropAt(t *transfer, l *Link) {
+	size, dropped := t.size, t.dropped
+	f.release(t)
+	f.drop(l.From, l.To, size, dropped)
+}
+
+// hop injects t's message into link t.r.links[t.i] and schedules its
+// arrival at the far end.
+func (f *Fabric) hop(t *transfer) {
+	l := t.r.links[t.i]
+	now := f.engine.Now()
+	if l.down || f.NodeDown(l.From) || f.NodeDown(l.To) {
 		// The path decayed under a multi-hop message: it dies at the dead
 		// hop, like a frame forwarded into a downed port.
-		if msg != 0 {
-			f.Tracer.EndSpanDetail(f.engine.Now(), msg, "lost:dead-hop")
+		if t.msg != 0 {
+			f.Tracer.EndSpanDetail(now, t.msg, "lost:dead-hop")
 		}
-		f.drop(from, to, size, dropped)
+		f.dropAt(t, l)
 		return
 	}
-	l := f.Link(from, to)
 	// Random wire loss: drawn at injection, manifested at arrival time (a
 	// corrupt frame still occupies the pipe).
-	lose := false
-	if p := f.loss[l.Class]; p > 0 && f.lossRNG != nil && f.lossRNG.Float64() < p {
-		lose = true
+	t.lose = l.loss > 0 && f.lossRNG != nil && f.lossRNG.Float64() < l.loss
+	t.epoch = l.epoch
+	_, arrive := l.transferTime(now, t.size)
+	if t.msg != 0 {
+		t.hs = f.Tracer.BeginSpan(now, l.stage, 0, t.msg)
 	}
-	epoch := l.epoch
-	_, arrive := l.transferTime(f.engine.Now(), size)
-	var hs trace.SpanID
-	if msg != 0 {
-		hs = f.Tracer.BeginSpan(f.engine.Now(), l.stage, 0, msg)
+	f.engine.AtTransient(arrive, t.arrive)
+}
+
+// arrived completes the hop in flight: the message dies, is delivered, or
+// goes on to the next hop.
+func (t *transfer) arrived() {
+	f := t.f
+	l := t.r.links[t.i]
+	now := f.engine.Now()
+	// A link that failed while the message was in flight ate it, even if
+	// the link was repaired before the arrival instant.
+	if t.lose || l.down || l.epoch != t.epoch || f.NodeDown(l.To) {
+		if t.msg != 0 {
+			f.Tracer.EndSpanDetail(now, t.hs, "lost")
+			f.Tracer.EndSpanDetail(now, t.msg, "lost")
+		}
+		f.dropAt(t, l)
+		return
 	}
-	f.engine.At(arrive, func() {
-		// A link that failed while the message was in flight ate it, even
-		// if the link was repaired before the arrival instant.
-		if lose || l.down || l.epoch != epoch || f.nodeDown[to] {
-			if msg != 0 {
-				f.Tracer.EndSpanDetail(f.engine.Now(), hs, "lost")
-				f.Tracer.EndSpanDetail(f.engine.Now(), msg, "lost")
-			}
-			f.drop(from, to, size, dropped)
-			return
-		}
-		if msg != 0 {
-			f.Tracer.EndSpan(f.engine.Now(), hs)
-		}
-		if i+2 >= len(path) {
-			if msg != 0 {
-				f.Tracer.EndSpanDetail(f.engine.Now(), msg, "delivered")
-			}
-			deliver(f.engine.Now())
-			return
-		}
-		f.hop(path, i+1, size, msg, deliver, dropped)
-	})
+	if t.msg != 0 {
+		f.Tracer.EndSpan(now, t.hs)
+	}
+	if t.i+1 < len(t.r.links) {
+		t.i++
+		f.hop(t)
+		return
+	}
+	if t.msg != 0 {
+		f.Tracer.EndSpanDetail(now, t.msg, "delivered")
+	}
+	deliver := t.deliver
+	f.release(t)
+	deliver(now)
 }

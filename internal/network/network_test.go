@@ -270,3 +270,103 @@ func TestSendZeroBytes(t *testing.T) {
 		t.Errorf("zero-byte arrival = %v, want pure latency", at)
 	}
 }
+
+// TestSendSteadyStateAllocs pins allocation-free forwarding: once the
+// route is cached and the transfer and event pools are warm, a multi-hop
+// send and its delivery allocate nothing.
+func TestSendSteadyStateAllocs(t *testing.T) {
+	e := sim.New()
+	f, nodes := chain(e, 5, LAN)
+	src, dst := nodes[0], nodes[len(nodes)-1]
+	delivered := 0
+	deliver := func(sim.Time) { delivered++ }
+	allocs := testing.AllocsPerRun(100, func() {
+		if !f.Send(src, dst, 16e3, deliver) {
+			t.Fatal("send refused on a live chain")
+		}
+		e.Run(e.Now() + 1)
+	})
+	if allocs != 0 {
+		t.Errorf("a 4-hop send and its delivery allocate %v, want 0", allocs)
+	}
+	if delivered != 101 { // AllocsPerRun runs once more to warm up
+		t.Fatalf("delivered %d of 101 messages", delivered)
+	}
+}
+
+// TestRoutesResolveLinks: Route, Route(a, a), PathLatency and SetRoute
+// answer from the resolved cache exactly as a fresh walk of the path over
+// Link would.
+func TestRoutesResolveLinks(t *testing.T) {
+	e := sim.New()
+	f := NewFabric(e)
+	a, b, c := f.AddNode("a"), f.AddNode("b"), f.AddNode("c")
+	f.Connect(a, b, Class{Name: "x", Latency: 0.1, Bandwidth: 0})
+	f.Connect(b, c, Class{Name: "y", Latency: 0.2, Bandwidth: 0})
+	f.Connect(a, c, Class{Name: "z", Latency: 0.7, Bandwidth: 0})
+	// A loop installed with SetRoute does not take a node away from
+	// itself.
+	if err := f.SetRoute(a, a, []NodeID{a, b, a}); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Route(a, a); len(got) != 1 || got[0] != a {
+		t.Fatalf("Route(a, a) = %v, want [a]", got)
+	}
+	if got := f.PathLatency(a, a); got != 0 {
+		t.Fatalf("PathLatency(a, a) = %v, want 0", got)
+	}
+	walk := func(path []NodeID) sim.Time {
+		var total sim.Time
+		for i := 0; i+1 < len(path); i++ {
+			total += f.Link(path[i], path[i+1]).Latency
+		}
+		return total
+	}
+	if got, want := f.PathLatency(a, c), walk(f.Route(a, c)); got != want || want != 0.7 {
+		t.Fatalf("PathLatency(a, c) = %v, walk %v, want 0.7", got, want)
+	}
+	if err := f.SetRoute(a, c, []NodeID{a, b, c}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := f.PathLatency(a, c), walk([]NodeID{a, b, c}); got != want {
+		t.Fatalf("PathLatency over SetRoute = %v, want %v bit for bit", got, want)
+	}
+	var at sim.Time
+	f.Send(a, c, 0, func(t sim.Time) { at = t })
+	e.Run(10)
+	if at != walk([]NodeID{a, b, c}) {
+		t.Fatalf("send over SetRoute arrived at %v, want %v", at, walk([]NodeID{a, b, c}))
+	}
+	f.FailNode(b)
+	if got := f.PathLatency(a, c); got != 0.7 {
+		t.Fatalf("PathLatency after FailNode(b) = %v, want the direct 0.7", got)
+	}
+	f.FailNode(a)
+	if f.Route(a, a) != nil || f.PathLatency(a, c) != -1 {
+		t.Fatal("a failed endpoint still routes")
+	}
+}
+
+// TestConnectInFlight: reconnecting a pair replaces its links; a message
+// already on the wire finishes over the links its route resolved, and the
+// next send uses the new class.
+func TestConnectInFlight(t *testing.T) {
+	e := sim.New()
+	f := NewFabric(e)
+	a, b, c := f.AddNode("a"), f.AddNode("b"), f.AddNode("c")
+	f.Connect(a, b, Class{Name: "old", Latency: 1, Bandwidth: 0})
+	f.Connect(b, c, Class{Name: "old", Latency: 1, Bandwidth: 0})
+	var first, second sim.Time
+	f.Send(a, c, 10, func(t sim.Time) { first = t })
+	e.At(0.5, func() {
+		f.Connect(b, c, Class{Name: "new", Latency: 0.25, Bandwidth: 0})
+		f.Send(a, c, 10, func(t sim.Time) { second = t })
+	})
+	e.Run(10)
+	if first != 2 {
+		t.Fatalf("in-flight message arrived at %v, want 2 over the old links", first)
+	}
+	if second != 1.75 {
+		t.Fatalf("message sent after Connect arrived at %v, want 1.75 over the new link", second)
+	}
+}

@@ -483,7 +483,7 @@ func (k *Kernel) deliverBatch(batch []message) error {
 				return fmt.Errorf("shard: decode message kind %d for %q: %w", m.Kind, dst.Name, err)
 			}
 		}
-		dst.Engine.At(m.At, fn)
+		dst.Engine.AtTransient(m.At, fn)
 		// A delivered message can revive a drained LP.
 		if m.At <= dst.Until {
 			dst.done = false

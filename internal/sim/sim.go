@@ -10,10 +10,13 @@
 //
 // Periodic work is batched: all callbacks of one period and phase share a
 // single TickDomain and therefore a single heap event per tick, firing in
-// registration order. One-shot events that are never cancelled can use the
-// transient scheduling paths, which recycle Event structs through a free
-// list. Together these keep steady-state simulation at O(1) heap
-// operations per control tick and ~zero allocations.
+// registration order, so steady-state ticking costs O(1) heap operations
+// per control tick and allocates nothing. One-shot events that are never
+// cancelled use the transient scheduling paths (AtTransient,
+// AfterTransient), which recycle Event structs through a free list; the
+// callback closure, if the caller builds one per event, is the caller's
+// allocation. At and After allocate one Event per call, the price of a
+// handle that can be cancelled or re-keyed.
 package sim
 
 import "fmt"

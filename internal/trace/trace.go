@@ -178,6 +178,6 @@ func Replay(e *sim.Engine, events []Event, fn func(ev Event)) {
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].T < sorted[j].T })
 	for _, ev := range sorted {
 		ev := ev
-		e.At(ev.T, func() { fn(ev) })
+		e.AtTransient(ev.T, func() { fn(ev) })
 	}
 }

@@ -95,27 +95,27 @@ func DefaultEdgeGen(stream *rng.Stream, devices int) *EdgeGen {
 func (g *EdgeGen) Start(e *sim.Engine, until sim.Time, submit func(r EdgeRequest)) {
 	m := rng.NewMMPP(g.Stream.Fork(1), g.CalmRate, g.BurstRate, g.CalmHold, g.BurstHold)
 	body := g.Stream.Fork(2)
-	var schedule func()
-	schedule = func() {
-		at := m.Next()
-		if at > until {
-			return
+	// fire is built once and re-armed for every arrival.
+	var fire func()
+	schedule := func() {
+		if at := m.Next(); at <= until {
+			e.AtTransient(at, fire)
 		}
-		e.AtTransient(at, func() {
-			g.nextID++
-			r := EdgeRequest{
-				ID:       g.nextID,
-				Work:     g.MeanWork * body.LogNormal(0, 0.4),
-				Deadline: g.Deadline,
-				Input:    16 * units.KB,
-				Output:   200,
-			}
-			if g.Devices > 0 {
-				r.Device = body.Intn(g.Devices)
-			}
-			submit(r)
-			schedule()
-		})
+	}
+	fire = func() {
+		g.nextID++
+		r := EdgeRequest{
+			ID:       g.nextID,
+			Work:     g.MeanWork * body.LogNormal(0, 0.4),
+			Deadline: g.Deadline,
+			Input:    16 * units.KB,
+			Output:   200,
+		}
+		if g.Devices > 0 {
+			r.Device = body.Intn(g.Devices)
+		}
+		submit(r)
+		schedule()
 	}
 	schedule()
 }
