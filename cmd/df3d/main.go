@@ -65,7 +65,7 @@ func main() {
 	flag.IntVar(&cfg.cities, "cities", 1, "federation size (live mode)")
 	flag.IntVar(&cfg.shards, "shards", 1, "shard workers driving the federation (live mode)")
 	flag.StringVar(&cfg.arrivalLog, "arrival-log", "", "record arrivals as NDJSON for offline replay (live mode)")
-	flag.DurationVar(&cfg.ingestTimeout, "ingest-timeout", 30*time.Second, "wall bound on waiting for an outcome (live mode)")
+	flag.DurationVar(&cfg.ingestTimeout, "ingest-timeout", 30*time.Second, "wall bound on a request's wait for its outcomes, counted from when its last line was admitted (live mode)")
 	flag.IntVar(&cfg.maxEdge, "max-inflight-edge", 0, "admission cap on in-flight edge requests (live mode, 0 = default)")
 	flag.IntVar(&cfg.maxDCC, "max-inflight-dcc", 0, "admission cap on in-flight batch jobs (live mode, 0 = default)")
 	flag.IntVar(&cfg.maxQueue, "max-queue", 0, "admission cap on the injection queue depth (live mode, 0 = default)")
@@ -233,7 +233,6 @@ func runLive(cfg daemonConfig, ccfg city.Config) {
 		f.AttachFlight(fl)
 		lcfg.Flight = fl
 		lcfg.TracePolicy = pol
-		lcfg.TraceCapacity = cfg.flight
 	}
 	if cfg.profile {
 		f.Kernel.EnableProfile()

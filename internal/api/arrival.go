@@ -10,7 +10,6 @@ package api
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -119,7 +118,8 @@ func applyArrival(f *city.Federation, rec ArrivalRecord, onEdge func(core.EdgeOu
 	}
 }
 
-// arrivalWriter serialises records to an NDJSON stream and tracks the
+// arrivalWriter serialises records to an NDJSON stream, each line the
+// bytes json.Marshal gives the record (appendArrival), and tracks the
 // absolute byte offset of the log, so a checkpoint can seal exactly how
 // much of the WAL it covers. Live writes all happen on the driver
 // goroutine, but Flush/Sync (shutdown, checkpoints) come from other
@@ -131,6 +131,7 @@ type arrivalWriter struct {
 	off     int64 // absolute log length including buffered bytes
 	durable int64 // absolute length known fsynced — off−durable is the crash-loss window
 	err     error
+	line    []byte // the record being written, reused across writes
 	// syncEach makes every record durable as it is written — zero
 	// acknowledged-but-lost window, one fsync per arrival.
 	syncEach bool
@@ -158,12 +159,13 @@ func (a *arrivalWriter) write(rec ArrivalRecord) {
 	if a.err != nil {
 		return
 	}
-	b, err := json.Marshal(rec)
+	b, err := appendArrival(a.line[:0], &rec)
 	if err != nil {
 		a.err = err
 		return
 	}
 	b = append(b, '\n')
+	a.line = b
 	if _, err := a.bw.Write(b); err != nil {
 		a.err = err
 		return

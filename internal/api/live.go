@@ -31,8 +31,11 @@ type LiveConfig struct {
 	// ingest latency when the simulation is caught up with the wall.
 	Tick time.Duration
 	// IngestTimeout is the wall-clock bound a handler waits for its
-	// simulated outcome before answering 504 (default 30 s). The request
-	// stays in the simulation; only the HTTP wait gives up.
+	// lines' simulated outcomes (default 30 s). It counts from when the
+	// handler starts waiting, after the body's last line was admitted; a
+	// line still unsettled then is answered as timed out (504 on /v1/edge
+	// and /v1/dcc). The request stays in the simulation; only the HTTP
+	// wait gives up.
 	IngestTimeout time.Duration
 	// Horizon is the paced drive's simulated end (default one year).
 	Horizon sim.Time
@@ -86,7 +89,11 @@ type LiveConfig struct {
 	Flight *obs.Flight
 	// TracePolicy samples ingest request spans (zero value: keep all).
 	TracePolicy obs.Policy
-	// TraceCapacity bounds the ingest span recorder (default 4096).
+	// TraceCapacity is unused. The ingest span recorder hands every
+	// completed span to Flight and keeps no ring of its own, so the
+	// capacity given to obs.NewFlight bounds the ingest spans.
+	//
+	// Deprecated: set the capacity on obs.NewFlight.
 	TraceCapacity int
 }
 
@@ -150,7 +157,8 @@ var edgeOutcomes = []string{outcomeServed, outcomeRejected, outcomeShed, outcome
 var dccOutcomes = []string{outcomeDone, outcomeLost, outcomeShed, outcomeTimeout, outcomeClosed}
 
 // NewLive wires a live session around a built federation. The federation
-// must not be running; NewLive installs the paced driver.
+// must not be running; NewLive installs the paced driver and switches the
+// cities' middlewares to running statistics only (core.Middleware.StatsOnly).
 func NewLive(f *city.Federation, cfg LiveConfig) *Live {
 	if cfg.IngestTimeout <= 0 {
 		cfg.IngestTimeout = 30 * time.Second
@@ -185,11 +193,7 @@ func NewLive(f *city.Federation, cfg LiveConfig) *Live {
 	}
 	if cfg.Flight != nil {
 		l.flight = cfg.Flight
-		capacity := cfg.TraceCapacity
-		if capacity <= 0 {
-			capacity = 4096
-		}
-		rec := trace.NewRecorder(capacity)
+		rec := trace.NewRecorder(0) // keeps no ring: Flight's holds the spans
 		rec.BeginProcess("ingest")
 		l.flight.Attach("ingest", rec)
 		l.sampled = obs.NewSampled(rec, cfg.TracePolicy)
@@ -209,6 +213,12 @@ func NewLive(f *city.Federation, cfg LiveConfig) *Live {
 				l.writeCheckpoint()
 			}
 		}
+	}
+	// The live plane's quantiles come from the df3_ingest_* histograms,
+	// and Summarize and Checksum read only means, so the middlewares keep
+	// running statistics instead of every latency served.
+	for _, c := range f.Cities {
+		c.MW.StatsOnly()
 	}
 	f.Driver = l.paced
 	l.registerMetrics()
@@ -493,6 +503,14 @@ type ingestResult struct {
 	Seq       uint64  `json:"seq,omitempty"`
 }
 
+// lineResult is one /v1/ingest result line: the input line's index and
+// either its parse or validation error or its verdict.
+type lineResult struct {
+	Index int    `json:"index"`
+	Error string `json:"error,omitempty"`
+	ingestResult
+}
+
 // statusOf maps an ingest verdict to its HTTP status.
 func statusOf(outcome string) int {
 	switch outcome {
@@ -507,91 +525,204 @@ func statusOf(outcome string) int {
 	}
 }
 
-// ingest admits, injects and awaits one arrival. rec must already be
-// validated. Returns the settled (or shed/timed-out) result.
-func (l *Live) ingest(rec ArrivalRecord) ingestResult {
-	class := ClassEdge
+// Root span stages of ingest lines, by class.
+const (
+	stageIngestEdge = "ingest:" + ClassEdge
+	stageIngestDCC  = "ingest:" + ClassDCC
+)
+
+// ingestBatch is one request's lines in flight. The handler admits and
+// injects each line as it reads it, with no goroutine per line. Each
+// line's outcome callback files its result under mu on the shard worker
+// that settled it, and the callback that settles the last awaited line
+// closes done. The handler waits once per request, on done or one
+// IngestTimeout timer (wait).
+type ingestBatch struct {
+	live     *Live
+	lines    []*ingestLine // in body order; the slice itself is handler-owned
+	injected int           // lines injected into the queue; handler-owned
+	done     chan struct{}
+
+	mu       sync.Mutex
+	settled  int  // lines whose outcome was filed
+	want     int  // lines the handler waits for; 0 until it starts waiting
+	answered bool // the handler has answered; later outcomes file nothing
+}
+
+// ingestLine is one line of a request: its record on the way in, its
+// root span while in flight and its result on the way out.
+type ingestLine struct {
+	b     *ingestBatch
+	class string
+	start time.Time // admission instant, the zero of WallMs
+	rec   ArrivalRecord
+	// span is the line's flight-recorder root, begun on the driver
+	// goroutine when the arrival applies and ended by the outcome
+	// callback. spanAt is the begin time, so the end lands at spanAt +
+	// SimLatency without reading a mid-window clock. A zero span
+	// (sampled out, tracing off) makes every span call a no-op.
+	span   trace.SpanID
+	spanAt sim.Time
+	// seq and injected are written by the handler after Inject returns,
+	// so outcome callbacks never read them.
+	seq      uint64
+	injected bool
+	res      lineResult // under b.mu once injected
+	settled  bool       // under b.mu
+}
+
+func (l *Live) newBatch() *ingestBatch {
+	return &ingestBatch{live: l, done: make(chan struct{})}
+}
+
+// fail adds a line that did not parse or validate.
+func (b *ingestBatch) fail(msg string) {
+	b.lines = append(b.lines, &ingestLine{res: lineResult{Index: len(b.lines), Error: msg}})
+}
+
+// add admits and injects one validated record, or files its shed or
+// closed verdict at once.
+func (b *ingestBatch) add(rec ArrivalRecord) {
+	l := b.live
+	ln := &ingestLine{b: b, class: ClassEdge, rec: rec}
 	if rec.Kind == "dcc" {
-		class = ClassDCC
+		ln.class = ClassDCC
 	}
-	if !l.adm.Admit(class) {
-		l.requests[class][outcomeShed].Inc()
-		return ingestResult{Outcome: outcomeShed}
+	ln.res.Index = len(b.lines)
+	b.lines = append(b.lines, ln)
+	if !l.adm.Admit(ln.class) {
+		l.requests[ln.class][outcomeShed].Inc()
+		ln.res.Outcome = outcomeShed
+		return
 	}
-	start := l.clock.Now()
-	ch := make(chan ingestResult, 1)
-	// span is the request's flight-recorder root: begun on the driver
-	// goroutine when the arrival applies, ended (possibly from a shard
-	// worker — Sampled serialises) when the outcome settles. spanAt is
-	// the begin time, so the end lands at spanAt + SimLatency without
-	// reading a mid-window clock. Zero span (sampled out, tracing off)
-	// makes every call below a no-op.
-	var span trace.SpanID
-	var spanAt sim.Time
-	onEdge := func(o core.EdgeOutcome) {
-		// Shard-worker context (or driver goroutine on 1 shard). Release
-		// before reporting so a waiting spike slot frees at the simulated
-		// settle instant. Everything touched here is concurrency-safe.
-		l.adm.Release(ClassEdge)
-		verdict := outcomeServed
-		if !o.Served {
-			verdict = outcomeRejected
-		}
-		l.requests[ClassEdge][verdict].Inc()
-		l.simHist[ClassEdge].Observe(float64(o.SimLatency))
-		l.sampled.EndSpanDetail(spanAt+o.SimLatency, span, verdict)
-		ch <- ingestResult{
-			Outcome:   verdict,
-			Escalated: o.Escalated,
-			Attempts:  o.Attempts,
-			SimLatS:   float64(o.SimLatency),
-		}
-	}
-	onDCC := func(o core.DCCOutcome) {
-		l.adm.Release(ClassDCC)
-		verdict := outcomeDone
-		if !o.Done {
-			verdict = outcomeLost
-		}
-		l.requests[ClassDCC][verdict].Inc()
-		l.simHist[ClassDCC].Observe(float64(o.SimLatency))
-		l.sampled.EndSpanDetail(spanAt+o.SimLatency, span, verdict)
-		ch <- ingestResult{
-			Outcome: verdict,
-			Tasks:   o.Tasks,
-			SimLatS: float64(o.SimLatency),
-		}
-	}
-	seq, ok := l.queue.Inject(func(seq uint64) {
-		rec.Seq = seq
-		rec.At = float64(l.fed.Now())
-		if l.logw != nil {
-			l.logw.write(rec)
-		}
-		spanAt = l.fed.Now()
-		span = l.sampled.BeginRoot(spanAt, "ingest:"+rec.Kind, class, rec.Tenant, seq+1)
-		applyArrival(l.fed, rec, onEdge, onDCC)
-	})
+	ln.start = l.clock.Now()
+	seq, ok := l.queue.Inject(ln.apply)
 	if !ok {
-		l.adm.Release(class)
-		l.requests[class][outcomeClosed].Inc()
-		return ingestResult{Outcome: outcomeClosed}
+		l.adm.Release(ln.class)
+		l.requests[ln.class][outcomeClosed].Inc()
+		ln.res.Outcome = outcomeClosed
+		return
 	}
-	timer := time.NewTimer(l.cfg.IngestTimeout)
-	defer timer.Stop()
-	select {
-	case res := <-ch:
-		wall := l.clock.Now().Sub(start)
-		res.WallMs = wall.Seconds() * 1e3
-		res.Seq = seq
-		l.wallHist[class].Observe(wall.Seconds())
-		return res
-	case <-timer.C:
-		// The request stays in the simulation; its slot frees when the
-		// outcome eventually settles. Only the HTTP wait gives up.
-		l.requests[class][outcomeTimeout].Inc()
-		return ingestResult{Outcome: outcomeTimeout, Seq: seq}
+	ln.seq, ln.injected = seq, true
+	b.injected++
+}
+
+// wait blocks until every injected line has settled or IngestTimeout has
+// passed since the wait began, then answers: each line still unsettled
+// is marked and counted as timed out. Its request stays in the
+// simulation and its slot frees when the outcome eventually settles;
+// only the HTTP wait gives up. Once wait returns no callback writes the
+// batch's results.
+func (b *ingestBatch) wait() {
+	l := b.live
+	b.mu.Lock()
+	b.want = b.injected
+	pending := b.settled < b.want
+	b.mu.Unlock()
+	if pending {
+		timer := time.NewTimer(l.cfg.IngestTimeout)
+		select {
+		case <-b.done:
+		case <-timer.C:
+		}
+		timer.Stop()
 	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.answered = true
+	for _, ln := range b.lines {
+		if !ln.injected {
+			continue
+		}
+		ln.res.Seq = ln.seq
+		if !ln.settled {
+			ln.res.Outcome = outcomeTimeout
+			l.requests[ln.class][outcomeTimeout].Inc()
+		}
+	}
+}
+
+// apply runs on the driver goroutine when the queue drains the line: it
+// logs the arrival, opens the line's root span and submits it.
+func (ln *ingestLine) apply(seq uint64) {
+	l := ln.b.live
+	now := l.fed.Now()
+	ln.rec.Seq = seq
+	ln.rec.At = float64(now)
+	if l.logw != nil {
+		l.logw.write(ln.rec)
+	}
+	ln.spanAt = now
+	if ln.class == ClassDCC {
+		ln.span = l.sampled.BeginRoot(now, stageIngestDCC, ln.class, ln.rec.Tenant, seq+1)
+		applyArrival(l.fed, ln.rec, nil, ln.settleDCC)
+	} else {
+		ln.span = l.sampled.BeginRoot(now, stageIngestEdge, ln.class, ln.rec.Tenant, seq+1)
+		applyArrival(l.fed, ln.rec, ln.settleEdge, nil)
+	}
+}
+
+func (ln *ingestLine) settleEdge(o core.EdgeOutcome) {
+	verdict := outcomeServed
+	if !o.Served {
+		verdict = outcomeRejected
+	}
+	ln.settle(ingestResult{
+		Outcome:   verdict,
+		Escalated: o.Escalated,
+		Attempts:  o.Attempts,
+		SimLatS:   float64(o.SimLatency),
+	}, o.SimLatency)
+}
+
+func (ln *ingestLine) settleDCC(o core.DCCOutcome) {
+	verdict := outcomeDone
+	if !o.Done {
+		verdict = outcomeLost
+	}
+	ln.settle(ingestResult{
+		Outcome: verdict,
+		Tasks:   o.Tasks,
+		SimLatS: float64(o.SimLatency),
+	}, o.SimLatency)
+}
+
+// settle runs on the shard worker that settled the line (the driver
+// goroutine on one shard); everything it touches is concurrency-safe. It
+// releases the admission slot first, so a waiting spike slot frees at
+// the simulated settle instant, and counts the verdict. It files the
+// result only if the handler has not answered yet.
+func (ln *ingestLine) settle(res ingestResult, simLat sim.Time) {
+	b := ln.b
+	l := b.live
+	l.adm.Release(ln.class)
+	l.requests[ln.class][res.Outcome].Inc()
+	l.simHist[ln.class].Observe(float64(simLat))
+	l.sampled.EndSpanDetail(ln.spanAt+simLat, ln.span, res.Outcome)
+	wall := l.clock.Now().Sub(ln.start)
+	res.WallMs = wall.Seconds() * 1e3
+	b.mu.Lock()
+	if b.answered {
+		b.mu.Unlock()
+		return
+	}
+	ln.res.ingestResult = res
+	ln.settled = true
+	b.settled++
+	last := b.settled == b.want
+	b.mu.Unlock()
+	l.wallHist[ln.class].Observe(wall.Seconds())
+	if last {
+		close(b.done)
+	}
+}
+
+// ingestOne admits, injects and awaits one record: a one-line batch.
+func (l *Live) ingestOne(rec ArrivalRecord) ingestResult {
+	b := l.newBatch()
+	b.add(rec)
+	b.wait()
+	return b.lines[0].res.ingestResult
 }
 
 // ---------------------------------------------------------------------------
@@ -646,7 +777,7 @@ func (s *LiveServer) postEdge(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	res := s.live.ingest(rec)
+	res := s.live.ingestOne(rec)
 	writeJSON(w, statusOf(res.Outcome), res)
 }
 
@@ -664,60 +795,69 @@ func (s *LiveServer) postDCC(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	res := s.live.ingest(rec)
+	res := s.live.ingestOne(rec)
 	writeJSON(w, statusOf(res.Outcome), res)
 }
 
 // postIngest consumes an NDJSON stream of arrivals (each line an edge or
-// dcc record) and streams back one NDJSON result per input line, tagged
-// with the line index. Lines ingest concurrently — results come back in
-// input order, each carrying its own verdict, so one shed line does not
-// fail the stream.
+// dcc record) and answers one NDJSON result per input line, tagged with
+// the line index. Each valid line is admitted and injected as it is read,
+// so a body's lines take their seqs, and their WAL records, in body
+// order. Results come back in input order, each carrying its own
+// verdict, so one shed line does not fail the stream. The whole response
+// is encoded into one buffer and written at once.
 func (s *LiveServer) postIngest(w http.ResponseWriter, r *http.Request) {
-	type lineResult struct {
-		Index int    `json:"index"`
-		Error string `json:"error,omitempty"`
-		ingestResult
-	}
+	buf := ingestBufs.Get().(*[]byte)
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	var (
-		wg      sync.WaitGroup
-		results []*lineResult
-	)
+	sc.Buffer(*buf, 4*1024*1024)
+	b := s.live.newBatch()
 	for sc.Scan() {
 		if isBlank(sc.Bytes()) {
 			continue
 		}
-		idx := len(results)
-		lr := &lineResult{Index: idx}
-		results = append(results, lr)
 		rec, err := decodeArrival(sc.Bytes())
 		if err != nil {
-			lr.Error = fmt.Sprintf("bad line: %v", err)
+			b.fail(fmt.Sprintf("bad line: %v", err))
 			continue
 		}
 		if err := validateArrival(&rec); err != nil {
-			lr.Error = err.Error()
+			b.fail(err.Error())
 			continue
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			lr.ingestResult = s.live.ingest(rec)
-		}()
+		b.add(rec)
 	}
 	scanErr := sc.Err()
-	wg.Wait()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	for _, lr := range results {
-		_ = enc.Encode(lr)
+	b.wait()
+	// Nothing decoded refers to the scan buffer, so the response reuses it.
+	out := (*buf)[:0]
+	for _, ln := range b.lines {
+		// A line that cannot be encoded is left out, as json.Encoder
+		// leaves it out; its verdict is still counted.
+		out, _ = appendIngestLine(out, &ln.res)
 	}
 	if scanErr != nil {
-		_ = enc.Encode(map[string]string{"error": fmt.Sprintf("stream: %v", scanErr)})
+		out = append(out, `{"error":`...)
+		out = appendJSONString(out, fmt.Sprintf("stream: %v", scanErr))
+		out = append(out, "}\n"...)
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	_, _ = w.Write(out)
+	if cap(out) <= maxPooledIngestBuf {
+		*buf = out
+		ingestBufs.Put(buf)
 	}
 }
+
+// ingestBufs recycles /v1/ingest buffers across requests: a request scans
+// its body through one and then encodes its response into the same one.
+// Buffers that grew past maxPooledIngestBuf are dropped, so one huge
+// response does not pin its memory.
+var ingestBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 64*1024)
+	return &b
+}}
+
+const maxPooledIngestBuf = 1 << 20
 
 // syncSafe guards the handlers that read simulation state through Sync.
 // During recovery the driver goroutine batch-replays the WAL without

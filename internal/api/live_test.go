@@ -5,14 +5,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"df3/internal/city"
+	"df3/internal/sim"
 )
 
 // liveFederation builds the small two-city federation every live test
@@ -188,42 +191,13 @@ func TestLiveAdmissionSheds(t *testing.T) {
 // \f is not JSON whitespace, so it is a malformed line, not a blank one.
 func TestLiveNDJSONIngest(t *testing.T) {
 	_, ts := newLiveRig(t, LiveConfig{})
-	stream := strings.Join([]string{
+	lines := ingestBody(t, ts.URL, []string{
 		`{"kind":"edge","tenant":1,"work_s":0.02}`,
 		`not json`,
 		`{"kind":"dcc","tenant":2,"frame_work_s":[2,4]}`,
 		`{"kind":"edge","tenant":3,"work_s":-1}`,
 		"\f",
-	}, "\n")
-	resp, err := http.Post(ts.URL+"/v1/ingest", "application/x-ndjson", strings.NewReader(stream))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var lines []struct {
-		Index   int    `json:"index"`
-		Error   string `json:"error"`
-		Outcome string `json:"outcome"`
-		Tasks   int    `json:"tasks"`
-	}
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var ln struct {
-			Index   int    `json:"index"`
-			Error   string `json:"error"`
-			Outcome string `json:"outcome"`
-			Tasks   int    `json:"tasks"`
-		}
-		if err := dec.Decode(&ln); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		lines = append(lines, ln)
-	}
-	if len(lines) != 5 {
-		t.Fatalf("got %d result lines, want 5", len(lines))
-	}
+	})
 	for i, ln := range lines {
 		if ln.Index != i {
 			t.Fatalf("line %d carries index %d: results out of input order", i, ln.Index)
@@ -391,5 +365,179 @@ func TestHardeningBatchServer(t *testing.T) {
 	}
 	if allow := resp2.Header.Get("Allow"); !strings.Contains(allow, "POST") {
 		t.Fatalf("Allow %q does not offer POST", allow)
+	}
+}
+
+// jumpClock is the wall clock plus an offset a test can jump forward: the
+// paced driver creeps along at its speed until the test makes it catch up
+// on hours of simulated time at once.
+type jumpClock struct{ off atomic.Int64 }
+
+func (c *jumpClock) Now() time.Time        { return sim.WallClock{}.Now().Add(time.Duration(c.off.Load())) }
+func (c *jumpClock) Sleep(d time.Duration) { time.Sleep(d) }
+func (c *jumpClock) jump(d time.Duration)  { c.off.Add(int64(d)) }
+
+// ingestBody posts an NDJSON body to /v1/ingest and decodes its result
+// lines.
+func ingestBody(t *testing.T, url string, lines []string) []lineResult {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/ingest", "application/x-ndjson", strings.NewReader(strings.Join(lines, "\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out []lineResult
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var lr lineResult
+		if err := dec.Decode(&lr); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, lr)
+	}
+	if len(out) != len(lines) {
+		t.Fatalf("%d result lines for %d input lines", len(out), len(lines))
+	}
+	return out
+}
+
+// TestIngestWaiterTimesOutUnsettledLines: one /v1/ingest body whose edge
+// lines settle within IngestTimeout while its hour-long batch jobs cannot.
+// The one wait per request answers every line in body order: edge
+// verdicts for the settled lines, timeout for the rest, counted once
+// each. When the driver later catches up, the late outcomes free their
+// admission slots and count their verdicts without touching the answered
+// request. Seqs, and so WAL records, follow body order.
+func TestIngestWaiterTimesOutUnsettledLines(t *testing.T) {
+	clk := &jumpClock{}
+	var logBuf bytes.Buffer
+	l, ts := newLiveRig(t, LiveConfig{
+		Speed: 10, MaxSlice: 600, Tick: time.Millisecond, Clock: clk,
+		IngestTimeout: 400 * time.Millisecond, ArrivalLog: &logBuf,
+	})
+	var lines []string
+	isDCC := func(i int) bool { return i%3 == 2 }
+	for i := 0; i < 12; i++ {
+		if isDCC(i) {
+			lines = append(lines, fmt.Sprintf(`{"kind":"dcc","tenant":%d,"frame_work_s":[3600]}`, i))
+		} else {
+			lines = append(lines, fmt.Sprintf(`{"kind":"edge","tenant":%d,"work_s":0.02,"deadline_s":1}`, i))
+		}
+	}
+	res := ingestBody(t, ts.URL, lines)
+	var timeouts int64
+	for i, lr := range res {
+		if lr.Index != i || lr.Error != "" {
+			t.Fatalf("line %d = %+v, want index %d and no error", i, lr, i)
+		}
+		if i > 0 && lr.Seq != res[i-1].Seq+1 {
+			t.Fatalf("line %d seq %d after %d: seqs out of body order", i, lr.Seq, res[i-1].Seq)
+		}
+		switch {
+		case isDCC(i) && lr.Outcome != outcomeTimeout:
+			t.Fatalf("hour-long job on line %d answered %q, want timeout", i, lr.Outcome)
+		case !isDCC(i) && lr.Outcome != outcomeServed && lr.Outcome != outcomeRejected:
+			t.Fatalf("edge line %d answered %q, want an edge verdict", i, lr.Outcome)
+		case !isDCC(i) && lr.WallMs <= 0:
+			t.Fatalf("edge line %d carries wall %v ms, want > 0", i, lr.WallMs)
+		}
+		if lr.Outcome == outcomeTimeout {
+			timeouts++
+		}
+	}
+	timedOut := func() int64 {
+		return l.requests[ClassEdge][outcomeTimeout].Value() + l.requests[ClassDCC][outcomeTimeout].Value()
+	}
+	if got := timedOut(); got != timeouts || timeouts != 4 {
+		t.Fatalf("timeout counter %d, %d lines answered timeout, want 4", got, timeouts)
+	}
+	if n := l.adm.InFlight(ClassDCC); n != 4 {
+		t.Fatalf("%d batch jobs in flight after the answer, want 4", n)
+	}
+
+	// Let the driver catch up on three simulated hours.
+	clk.jump(3 * time.Hour / 10)
+	giveUp := time.After(20 * time.Second)
+	for l.adm.InFlight(ClassDCC)+l.adm.InFlight(ClassEdge) != 0 {
+		select {
+		case <-giveUp:
+			t.Fatalf("in flight stuck at %d edge, %d dcc", l.adm.InFlight(ClassEdge), l.adm.InFlight(ClassDCC))
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	if late := l.requests[ClassDCC][outcomeDone].Value() + l.requests[ClassDCC][outcomeLost].Value(); late != 4 {
+		t.Fatalf("%d late batch verdicts counted, want 4", late)
+	}
+	if got := timedOut(); got != 4 {
+		t.Fatalf("timeout counter moved to %d after the late outcomes", got)
+	}
+	// Wall latency is filed only for lines answered in time.
+	if n := l.wallHist[ClassDCC].Count(); n != 0 {
+		t.Fatalf("%d late batch jobs filed a wall latency into the answered request", n)
+	}
+	if n := l.wallHist[ClassEdge].Count(); n != 8 {
+		t.Fatalf("%d edge wall latencies filed, want 8", n)
+	}
+	if err := l.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	var seqs []uint64
+	for _, rec := range ParseArrivalLog(logBuf.Bytes()).Records {
+		if rec.Kind != "advance" {
+			seqs = append(seqs, rec.Seq)
+		}
+	}
+	if len(seqs) != len(res) {
+		t.Fatalf("WAL holds %d arrivals, want %d", len(seqs), len(res))
+	}
+	for i, seq := range seqs {
+		if seq != res[i].Seq {
+			t.Fatalf("WAL arrival %d carries seq %d, line %d answered seq %d", i, seq, i, res[i].Seq)
+		}
+	}
+}
+
+// TestLiveRetainsNoSamples: a live session's middlewares keep running
+// statistics only. n ingested lines are all served, no city retains a
+// latency value, and the checksum, which folds the latency mean, still
+// equals a replay of the arrival log under exact statistics.
+func TestLiveRetainsNoSamples(t *testing.T) {
+	var logBuf bytes.Buffer
+	l, ts := newLiveRig(t, LiveConfig{ArrivalLog: &logBuf})
+	const n = 120
+	var lines []string
+	for i := 0; i < n; i++ {
+		lines = append(lines, fmt.Sprintf(`{"kind":"edge","tenant":%d,"work_s":0.01,"deadline_s":2}`, i))
+	}
+	for i, lr := range ingestBody(t, ts.URL, lines) {
+		if lr.Outcome != outcomeServed {
+			t.Fatalf("line %d answered %q, want served", i, lr.Outcome)
+		}
+	}
+	if err := l.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	var observed int
+	for i, c := range l.Federation().Cities {
+		lat := &c.MW.Edge.Latency
+		if len(lat.Values()) != 0 || !math.IsNaN(lat.Quantile(0.5)) {
+			t.Fatalf("city %d retains %d latencies (median %v), want none", i, len(lat.Values()), lat.Quantile(0.5))
+		}
+		observed += lat.Count()
+	}
+	if observed != n {
+		t.Fatalf("latency stats counted %d requests, want %d", observed, n)
+	}
+	replay := liveFederation()
+	if err := ReplayArrivals(replay, bytes.NewReader(logBuf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := replay.Checksum(), l.Federation().Checksum(); got != want {
+		t.Fatalf("replay checksum %#x != live %#x", got, want)
+	}
+	if q := replay.Cities[0].MW.Edge.Latency.Quantile(0.5); math.IsNaN(q) {
+		t.Fatal("a replay under the batch driver lost its exact quantiles")
 	}
 }

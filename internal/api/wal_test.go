@@ -342,21 +342,10 @@ const benchWALRecords = 100_000
 // advance about every 150 records — as written by arrivalWriter. Run it
 // with -benchmem; ns/record is the read-back cost of one WAL line.
 func BenchmarkParseArrivalLog(b *testing.B) {
-	s := rng.New(1)
 	var buf bytes.Buffer
 	w := newArrivalWriter(&buf, 0)
-	at, seq := 0.0, uint64(0)
-	for i := 0; i < benchWALRecords; i++ {
-		if s.Intn(150) == 0 {
-			at += 0.24 + s.Exp(1/0.26)
-			w.write(ArrivalRecord{Kind: "advance", At: at})
-			continue
-		}
-		seq++
-		w.write(ArrivalRecord{
-			Kind: "edge", At: at, Seq: seq, Tenant: uint64(s.Intn(1000)),
-			WorkS: max(s.Exp(20), 1e-6), DeadlineS: 1, InputBytes: 16e3,
-		})
+	for _, rec := range benchArrivals(benchWALRecords) {
+		w.write(rec)
 	}
 	if err := w.Flush(); err != nil {
 		b.Fatal(err)

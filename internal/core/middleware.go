@@ -42,6 +42,19 @@ type Middleware struct {
 	nextJobID uint64
 }
 
+// StatsOnly switches every latency and flow-time Sample the middleware
+// owns to running statistics only (metrics.Sample.StatsOnly): counts,
+// means and extremes stay exact, quantiles read NaN, and memory no longer
+// grows with every request settled. A long-lived serving plane, which
+// takes its quantiles from streaming histograms, calls it; batch runs
+// keep exact quantiles.
+func (mw *Middleware) StatsOnly() {
+	mw.Edge.Latency.StatsOnly()
+	mw.DCC.JobFlowTime.StatsOnly()
+	mw.DCC.JobStretch.StatsOnly()
+	mw.Content.Latency.StatsOnly()
+}
+
 // completeEdge finalises a served request: stats, deadline check, trace.
 // Terminal transitions are idempotent: a retry that raced the original
 // copy settles on whichever finished first.

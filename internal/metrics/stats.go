@@ -101,23 +101,42 @@ func (s *Stats) Merge(other *Stats) {
 	}
 }
 
-// Sample retains every observation and answers exact quantiles.
+// Sample retains every observation and answers exact quantiles, unless
+// switched to running statistics only (StatsOnly).
 type Sample struct {
 	Stats
-	values []float64
-	sorted bool
+	values    []float64
+	sorted    bool
+	statsOnly bool
+}
+
+// StatsOnly switches s to running statistics only, for a long-lived
+// process that must not grow with every observation: Observe still feeds
+// Stats, but no value is retained (any already retained are dropped), and
+// Quantile returns NaN, which no reader can take for an exact quantile.
+func (s *Sample) StatsOnly() {
+	s.statsOnly = true
+	s.values = nil
+	s.sorted = false
 }
 
 // Observe adds one observation.
 func (s *Sample) Observe(v float64) {
 	s.Stats.Observe(v)
+	if s.statsOnly {
+		return
+	}
 	s.values = append(s.values, v)
 	s.sorted = false
 }
 
 // Quantile returns the q-quantile (q in [0,1]) by linear interpolation on
-// the sorted sample. With no observations it returns 0.
+// the sorted sample. With no observations it returns 0; after StatsOnly,
+// NaN.
 func (s *Sample) Quantile(q float64) float64 {
+	if s.statsOnly {
+		return math.NaN()
+	}
 	if len(s.values) == 0 {
 		return 0
 	}
@@ -150,5 +169,6 @@ func (s *Sample) P99() float64 { return s.Quantile(0.99) }
 func (s *Sample) P95() float64 { return s.Quantile(0.95) }
 
 // Values returns the retained observations in observation order until the
-// first Quantile call, sorted order after. Callers must not mutate it.
+// first Quantile call, sorted order after (none after StatsOnly). Callers
+// must not mutate it.
 func (s *Sample) Values() []float64 { return s.values }

@@ -3,9 +3,11 @@
 //
 // Links carry (latency, bandwidth) and serialise transfers FIFO: a message
 // occupies the link for size/bandwidth seconds after waiting for earlier
-// messages, then arrives latency later (store-and-forward per link). Routes
-// are static paths configured by the scenario builder; the fabric delivers
-// a message by walking its path hop by hop on the simulation engine.
+// messages, then arrives latency later (store-and-forward per link). A
+// route is the minimum-hop path between two endpoints over usable links,
+// found by breadth-first search and cached per endpoint pair; the fabric
+// delivers a message by walking its route hop by hop on the simulation
+// engine.
 //
 // Once its route is cached, forwarding a message allocates nothing and
 // looks nothing up per hop. The route cache holds, per endpoint pair, the
@@ -26,8 +28,6 @@
 package network
 
 import (
-	"fmt"
-
 	"df3/internal/rng"
 	"df3/internal/sim"
 	"df3/internal/trace"
@@ -408,24 +408,6 @@ func (f *Fabric) resolve(path []NodeID) *route {
 		r.latency += l.Latency
 	}
 	return r
-}
-
-// SetRoute overrides the path between two endpoints (must start at a and
-// end at b over existing links).
-func (f *Fabric) SetRoute(a, b NodeID, path []NodeID) error {
-	if len(path) < 1 || path[0] != a || path[len(path)-1] != b {
-		return fmt.Errorf("network: path endpoints do not match %d..%d", a, b)
-	}
-	for i := 0; i+1 < len(path); i++ {
-		if f.Link(path[i], path[i+1]) == nil {
-			return fmt.Errorf("network: no link %d->%d on path", path[i], path[i+1])
-		}
-	}
-	if a == b {
-		return nil // a node reaches itself without a hop, whatever the path
-	}
-	f.routes[[2]NodeID{a, b}] = f.resolve(path)
-	return nil
 }
 
 // PathLatency returns the summed link latency a→b ignoring serialisation,

@@ -105,28 +105,6 @@ func TestSelfDelivery(t *testing.T) {
 	}
 }
 
-func TestSetRoute(t *testing.T) {
-	e := sim.New()
-	f := NewFabric(e)
-	a, b, c := f.AddNode("a"), f.AddNode("b"), f.AddNode("c")
-	f.Connect(a, b, LAN)
-	f.Connect(b, c, LAN)
-	f.Connect(a, c, Class{Latency: 1, Bandwidth: 0}) // slow direct link
-	// Force the two-hop path even though a-c is one hop.
-	if err := f.SetRoute(a, c, []NodeID{a, b, c}); err != nil {
-		t.Fatal(err)
-	}
-	if l := f.PathLatency(a, c); l > 0.01 {
-		t.Errorf("forced route latency = %v, want LAN-scale", l)
-	}
-	if err := f.SetRoute(a, c, []NodeID{a, c, b}); err == nil {
-		t.Error("SetRoute accepted path with wrong endpoint")
-	}
-	if err := f.SetRoute(a, b, []NodeID{a, c, b}); err != nil {
-		t.Errorf("valid alternate path rejected: %v", err)
-	}
-}
-
 func TestLinkAccounting(t *testing.T) {
 	e := sim.New()
 	f, a, b := pair(e, LAN)
@@ -294,9 +272,8 @@ func TestSendSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestRoutesResolveLinks: Route, Route(a, a), PathLatency and SetRoute
-// answer from the resolved cache exactly as a fresh walk of the path over
-// Link would.
+// TestRoutesResolveLinks: Route, Route(a, a) and PathLatency answer from
+// the resolved cache exactly as a fresh walk of the path over Link would.
 func TestRoutesResolveLinks(t *testing.T) {
 	e := sim.New()
 	f := NewFabric(e)
@@ -304,11 +281,6 @@ func TestRoutesResolveLinks(t *testing.T) {
 	f.Connect(a, b, Class{Name: "x", Latency: 0.1, Bandwidth: 0})
 	f.Connect(b, c, Class{Name: "y", Latency: 0.2, Bandwidth: 0})
 	f.Connect(a, c, Class{Name: "z", Latency: 0.7, Bandwidth: 0})
-	// A loop installed with SetRoute does not take a node away from
-	// itself.
-	if err := f.SetRoute(a, a, []NodeID{a, b, a}); err != nil {
-		t.Fatal(err)
-	}
 	if got := f.Route(a, a); len(got) != 1 || got[0] != a {
 		t.Fatalf("Route(a, a) = %v, want [a]", got)
 	}
@@ -325,17 +297,11 @@ func TestRoutesResolveLinks(t *testing.T) {
 	if got, want := f.PathLatency(a, c), walk(f.Route(a, c)); got != want || want != 0.7 {
 		t.Fatalf("PathLatency(a, c) = %v, walk %v, want 0.7", got, want)
 	}
-	if err := f.SetRoute(a, c, []NodeID{a, b, c}); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := f.PathLatency(a, c), walk([]NodeID{a, b, c}); got != want {
-		t.Fatalf("PathLatency over SetRoute = %v, want %v bit for bit", got, want)
-	}
 	var at sim.Time
 	f.Send(a, c, 0, func(t sim.Time) { at = t })
 	e.Run(10)
-	if at != walk([]NodeID{a, b, c}) {
-		t.Fatalf("send over SetRoute arrived at %v, want %v", at, walk([]NodeID{a, b, c}))
+	if at != walk(f.Route(a, c)) {
+		t.Fatalf("send arrived at %v, want %v", at, walk(f.Route(a, c)))
 	}
 	f.FailNode(b)
 	if got := f.PathLatency(a, c); got != 0.7 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	df3metrics "df3/internal/metrics"
+	"df3/internal/sim"
 	"df3/internal/trace"
 )
 
@@ -96,4 +97,54 @@ func TestRegisterRuntimeExports(t *testing.T) {
 	if parsed["df3_go_goroutines"] < 1 {
 		t.Errorf("df3_go_goroutines = %v, want >= 1", parsed["df3_go_goroutines"])
 	}
+}
+
+// TestFlightSpanPathNoAlloc: a kept request root begun and ended through
+// Sampled into a Flight ring allocates nothing once the ring is full —
+// the recorder hands the span to the ring and keeps no copy.
+func TestFlightSpanPathNoAlloc(t *testing.T) {
+	f := NewFlight(64, Policy{})
+	rec := trace.NewRecorder(64)
+	f.Attach("ingest", rec)
+	s := NewSampled(rec, Policy{})
+	i := uint64(0)
+	root := func() {
+		i++
+		id := s.BeginRoot(sim.Time(i), "ingest:edge", "edge", i, i)
+		s.EndSpanDetail(sim.Time(i)+0.01, id, "served")
+	}
+	for k := 0; k < 128; k++ {
+		root()
+	}
+	if allocs := testing.AllocsPerRun(1000, root); allocs != 0 {
+		t.Errorf("kept span into a Flight ring allocates %v per op, want 0", allocs)
+	}
+	if st := f.Stats()[0]; st.Kept != i || len(rec.Spans()) != 0 || rec.DroppedSpans() != 0 {
+		t.Fatalf("ring kept %d of %d spans; recorder kept %d, dropped %d",
+			st.Kept, i, len(rec.Spans()), rec.DroppedSpans())
+	}
+}
+
+// BenchmarkSpan is one ingest request's root span, begun and ended on the
+// live path: with tracing off (a nil Sampled), sampled out by the policy,
+// and kept into a Flight ring at df3d's default 4096 spans per source.
+func BenchmarkSpan(b *testing.B) {
+	run := func(b *testing.B, s *Sampled) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := uint64(i) + 1
+			id := s.BeginRoot(sim.Time(i), "ingest:edge", "edge", k, k)
+			s.EndSpanDetail(sim.Time(i)+0.01, id, "served")
+		}
+	}
+	b.Run("off", func(b *testing.B) { run(b, nil) })
+	b.Run("sampled-out", func(b *testing.B) {
+		run(b, NewSampled(trace.NewRecorder(4096), Policy{Default: -1}))
+	})
+	b.Run("flight", func(b *testing.B) {
+		f := NewFlight(4096, Policy{})
+		rec := trace.NewRecorder(4096)
+		f.Attach("ingest", rec)
+		run(b, NewSampled(rec, Policy{}))
+	})
 }

@@ -36,16 +36,10 @@ func (r *Recorder) Merge(src *Recorder) {
 	for _, sp := range src.Spans() {
 		r.pushSpan(remap(sp))
 	}
-	if len(src.open) > 0 {
-		if r.open == nil {
-			r.open = map[SpanID]Span{}
-		}
-		//df3:unordered-ok remapped IDs are distinct, so each write lands on its own key
-		for _, sp := range src.open {
-			sp = remap(sp)
-			r.open[sp.ID] = sp
-		}
-	}
+	src.eachOpen(func(sp Span) {
+		sp = remap(sp)
+		*r.newOpen(sp.ID) = sp
+	})
 	r.nextSpan += src.nextSpan
 	r.unmatchedEnds += src.unmatchedEnds
 	r.orphanBegins += src.orphanBegins

@@ -49,7 +49,7 @@ func (r *Recorder) SetCapacity(capacity int) {
 	if capacity < 0 {
 		capacity = 0
 	}
-	if len(r.events) > 0 || len(r.spans) > 0 || len(r.open) > 0 {
+	if len(r.events) > 0 || len(r.spans) > 0 || r.nextSpan > 0 {
 		panic("trace: SetCapacity after recording started")
 	}
 	r.cap = capacity
@@ -62,6 +62,7 @@ func (r *Recorder) Capacity() int { return r.cap }
 func (r *Recorder) DroppedEvents() int64 { return r.evDropped }
 
 // DroppedSpans returns how many completed spans were evicted from the ring.
+// It stays 0 for a recorder with a sink, which keeps no ring (SetSink).
 func (r *Recorder) DroppedSpans() int64 { return r.spDropped }
 
 // BeginProcess opens a new process scope (returning its 1-based id): spans
@@ -92,11 +93,8 @@ func (r *Recorder) BeginSpan(t sim.Time, stage string, traceID uint64, parent Sp
 	if r == nil {
 		return 0
 	}
-	if r.open == nil {
-		r.open = map[SpanID]Span{}
-	}
 	if parent != 0 {
-		if ps, ok := r.open[parent]; ok {
+		if ps, ok := r.openSpan(parent); ok {
 			if traceID == 0 {
 				traceID = ps.Trace
 			}
@@ -108,11 +106,63 @@ func (r *Recorder) BeginSpan(t sim.Time, stage string, traceID uint64, parent Sp
 	}
 	r.nextSpan++
 	id := r.nextSpan
-	r.open[id] = Span{
+	*r.newOpen(id) = Span{
 		ID: id, Parent: parent, Trace: traceID, Proc: r.curProc,
 		Stage: stage, Begin: t, End: -1,
 	}
 	return id
+}
+
+// openSlots is the size of the direct-mapped open-span table. Span ids
+// are sequential, so span id's slot id%openSlots is wanted again only
+// openSlots begins later; a span still open then (a long machine window)
+// moves to the overflow map. Request spans live far shorter than 4096
+// begins, so lookups almost never reach the map.
+const openSlots = 4096
+
+// newOpen returns the table slot for the open span id, first moving the
+// slot's previous, still-open holder to the overflow map.
+func (r *Recorder) newOpen(id SpanID) *Span {
+	if r.open == nil {
+		r.open = make([]Span, openSlots)
+	}
+	slot := &r.open[id%openSlots]
+	if slot.ID != 0 {
+		if r.overflow == nil {
+			r.overflow = map[SpanID]Span{}
+		}
+		r.overflow[slot.ID] = *slot
+	}
+	return slot
+}
+
+// openSpan returns the open span id and whether it is open.
+func (r *Recorder) openSpan(id SpanID) (Span, bool) {
+	if r.open == nil {
+		return Span{}, false
+	}
+	if slot := &r.open[id%openSlots]; slot.ID == id {
+		return *slot, true
+	}
+	sp, ok := r.overflow[id]
+	return sp, ok
+}
+
+// takeOpen removes the open span id and reports whether it was open.
+func (r *Recorder) takeOpen(id SpanID) (Span, bool) {
+	if r.open == nil {
+		return Span{}, false
+	}
+	if slot := &r.open[id%openSlots]; slot.ID == id {
+		sp := *slot
+		*slot = Span{}
+		return sp, true
+	}
+	sp, ok := r.overflow[id]
+	if ok {
+		delete(r.overflow, id)
+	}
+	return sp, ok
 }
 
 // EndSpan closes an open span at time t. Ending id 0, an unknown id or an
@@ -124,12 +174,11 @@ func (r *Recorder) EndSpanDetail(t sim.Time, id SpanID, detail string) {
 	if r == nil || id == 0 {
 		return
 	}
-	sp, ok := r.open[id]
+	sp, ok := r.takeOpen(id)
 	if !ok {
 		r.unmatchedEnds++
 		return
 	}
-	delete(r.open, id)
 	sp.End = t
 	if detail != "" {
 		sp.Detail = detail
@@ -147,13 +196,14 @@ func (r *Recorder) Instant(t sim.Time, stage string, traceID uint64, parent Span
 	r.EndSpanDetail(t, id, detail)
 }
 
-// SetSink installs a hook invoked with a copy of every completed span, in
-// completion order, before the span enters the bounded ring. A sink sees
-// spans the ring later evicts, which is what lets an always-on flight
-// recorder ride a small-capacity recorder without losing recency. The sink
-// runs on the recording goroutine and must be pure observation: it must not
-// call back into the recorder or touch simulation state. Nil recorders and
-// a nil fn are no-ops.
+// SetSink installs a hook invoked with every completed span, in completion
+// order. A recorder with a sink hands each span over and keeps no ring of
+// its own: Spans returns only what completed before SetSink, and
+// DroppedSpans stays 0, since the sink (an always-on flight recorder) owns
+// retention and counts its own evictions. The sink runs on the recording
+// goroutine and must be pure observation: it must not call back into the
+// recorder or touch simulation state. Nil recorders and a nil fn are
+// no-ops.
 func (r *Recorder) SetSink(fn func(Span)) {
 	if r == nil {
 		return
@@ -161,10 +211,12 @@ func (r *Recorder) SetSink(fn func(Span)) {
 	r.sink = fn
 }
 
-// pushSpan appends a completed span, evicting the oldest at capacity.
+// pushSpan hands a completed span to the sink, or else appends it to the
+// ring, evicting the oldest at capacity.
 func (r *Recorder) pushSpan(sp Span) {
 	if r.sink != nil {
 		r.sink(sp)
+		return
 	}
 	if r.cap > 0 && len(r.spans) == r.cap {
 		r.spans[r.spHead] = sp
@@ -198,10 +250,8 @@ func (r *Recorder) OpenSpans() []Span {
 	if r == nil {
 		return nil
 	}
-	out := make([]Span, 0, len(r.open))
-	for _, sp := range r.open {
-		out = append(out, sp)
-	}
+	out := []Span{}
+	r.eachOpen(func(sp Span) { out = append(out, sp) })
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Begin != out[j].Begin {
 			return out[i].Begin < out[j].Begin
@@ -209,6 +259,24 @@ func (r *Recorder) OpenSpans() []Span {
 		return out[i].ID < out[j].ID
 	})
 	return out
+}
+
+// eachOpen visits every open span: the table in slot order, then the
+// overflow map in id order.
+func (r *Recorder) eachOpen(visit func(Span)) {
+	for i := range r.open {
+		if r.open[i].ID != 0 {
+			visit(r.open[i])
+		}
+	}
+	ids := make([]SpanID, 0, len(r.overflow))
+	for id := range r.overflow {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		visit(r.overflow[id])
+	}
 }
 
 // UnmatchedEnds counts EndSpan calls that found no open span.

@@ -40,7 +40,8 @@ type Recorder struct {
 	spans         []Span
 	spHead        int
 	spDropped     int64
-	open          map[SpanID]Span
+	open          []Span          // direct-mapped open spans (span.go: openSlots)
+	overflow      map[SpanID]Span // open spans a later begin moved out of their slot
 	nextSpan      SpanID
 	unmatchedEnds int64
 	orphanBegins  int64
