@@ -22,13 +22,6 @@ type benchConfig struct {
 
 	// Shard-profiler mode.
 	shardprof bool
-
-	// Long-running resumable batch mode.
-	longrun         float64 // horizon in simulated days (0 = experiment mode)
-	cities          int     // federation width (longrun only)
-	checkpointEvery float64 // snapshot cadence in simulated days
-	checkpointDir   string
-	resume          string // checkpoint file to restore from
 }
 
 // traceCapable lists the experiments that honour Options.Tracer.
@@ -67,55 +60,10 @@ func (c benchConfig) validate() error {
 	if c.shardprof {
 		// The profiled federation is E19-shaped and self-contained; only
 		// -quick, -shards and -seed tune it.
-		switch {
-		case c.longrun != 0 || c.resume != "":
-			return fmt.Errorf("-shardprof and -longrun/-resume are exclusive modes")
-		case c.run != "" || c.tracePath != "" || c.csvDir != "":
+		if c.run != "" || c.tracePath != "" || c.csvDir != "" {
 			return fmt.Errorf("-shardprof is a self-contained profile run; -run/-trace/-csv do not apply")
-		case c.cities != 0 || c.checkpointDir != "" || c.checkpointEvery != 0:
-			return fmt.Errorf("-shardprof sizes its own federation; -cities and checkpoint flags do not apply")
 		}
 		return nil
-	}
-	if c.resume != "" {
-		// Resume restores everything — shape, horizon, cadence — from the
-		// recipe sealed in the snapshot, so those flags are noise here.
-		// Only -checkpoint-dir applies: where to keep writing snapshots.
-		switch {
-		case c.longrun != 0:
-			return fmt.Errorf("-resume and -longrun are exclusive: the horizon is sealed in the checkpoint")
-		case c.run != "" || c.quick || c.tracePath != "":
-			return fmt.Errorf("-resume is a batch restore; -run/-quick/-trace do not apply")
-		case c.cities != 0:
-			return fmt.Errorf("-cities is sealed in the checkpoint; drop it when resuming")
-		case c.checkpointEvery != 0:
-			return fmt.Errorf("-checkpoint-every is sealed in the checkpoint; drop it when resuming")
-		}
-		if c.checkpointDir != "" {
-			if err := cliutil.CheckOutputDir(c.checkpointDir); err != nil {
-				return fmt.Errorf("-checkpoint-dir: %w", err)
-			}
-		}
-		return nil
-	}
-	if c.longrun != 0 {
-		switch {
-		case c.longrun < 0:
-			return fmt.Errorf("-longrun %v: need a positive horizon in days", c.longrun)
-		case c.run != "" || c.quick || c.tracePath != "" || c.csvDir != "":
-			return fmt.Errorf("-longrun is a single federation batch; -run/-quick/-trace/-csv do not apply")
-		case c.cities < 1:
-			return fmt.Errorf("-longrun needs -cities (at least one)")
-		case c.shards > c.cities:
-			return fmt.Errorf("-shards %d exceeds -cities %d: a city is the unit of parallelism", c.shards, c.cities)
-		}
-		return c.validateCheckpointFlags()
-	}
-	if c.cities != 0 {
-		return fmt.Errorf("-cities requires -longrun (experiments size their own federations)")
-	}
-	if c.checkpointDir != "" || c.checkpointEvery != 0 {
-		return fmt.Errorf("checkpoint flags (-checkpoint-dir, -checkpoint-every) require -longrun or -resume")
 	}
 	sel, err := c.selection()
 	if err != nil {
@@ -150,26 +98,6 @@ func (c benchConfig) validate() error {
 	if c.csvDir != "" {
 		if err := cliutil.CheckOutputDir(c.csvDir); err != nil {
 			return fmt.Errorf("-csv: %w", err)
-		}
-	}
-	return nil
-}
-
-// validateCheckpointFlags checks the snapshot knobs shared by -longrun
-// and -resume.
-func (c benchConfig) validateCheckpointFlags() error {
-	if c.checkpointEvery < 0 {
-		return fmt.Errorf("-checkpoint-every %v: need a positive period in days", c.checkpointEvery)
-	}
-	if c.checkpointEvery != 0 && c.checkpointDir == "" {
-		return fmt.Errorf("-checkpoint-every requires -checkpoint-dir")
-	}
-	if c.checkpointDir != "" && c.checkpointEvery == 0 {
-		return fmt.Errorf("-checkpoint-dir requires -checkpoint-every (a cadence in days)")
-	}
-	if c.checkpointDir != "" {
-		if err := cliutil.CheckOutputDir(c.checkpointDir); err != nil {
-			return fmt.Errorf("-checkpoint-dir: %w", err)
 		}
 	}
 	return nil

@@ -41,32 +41,6 @@ func TestBenchConfigValidate(t *testing.T) {
 		{"shardprof", benchConfig{shards: 4, shardprof: true}, ""},
 		{"shardprof quick", benchConfig{shards: 2, shardprof: true, quick: true}, ""},
 		{"shardprof with run", benchConfig{shards: 4, shardprof: true, run: "E2"}, "do not apply"},
-		{"shardprof with longrun", benchConfig{shards: 4, shardprof: true, longrun: 1}, "exclusive modes"},
-		{"shardprof with cities", benchConfig{shards: 4, shardprof: true, cities: 10}, "sizes its own federation"},
-		{"longrun", benchConfig{shards: 2, longrun: 3, cities: 4}, ""},
-		{"longrun with checkpoints", benchConfig{shards: 1, longrun: 3, cities: 2,
-			checkpointEvery: 1, checkpointDir: filepath.Join(dir, "ck")}, ""},
-		{"longrun negative horizon", benchConfig{shards: 1, longrun: -1, cities: 2}, "-longrun"},
-		{"longrun without cities", benchConfig{shards: 1, longrun: 3}, "-cities"},
-		{"longrun shards exceed cities", benchConfig{shards: 4, longrun: 3, cities: 2}, "-shards 4 exceeds"},
-		{"longrun with run", benchConfig{shards: 1, longrun: 3, cities: 2, run: "E2"}, "do not apply"},
-		{"longrun with quick", benchConfig{shards: 1, longrun: 3, cities: 2, quick: true}, "do not apply"},
-		{"longrun every without dir", benchConfig{shards: 1, longrun: 3, cities: 2,
-			checkpointEvery: 1}, "-checkpoint-every requires -checkpoint-dir"},
-		{"longrun dir without every", benchConfig{shards: 1, longrun: 3, cities: 2,
-			checkpointDir: dir}, "-checkpoint-dir requires -checkpoint-every"},
-		{"longrun negative cadence", benchConfig{shards: 1, longrun: 3, cities: 2,
-			checkpointEvery: -1, checkpointDir: dir}, "-checkpoint-every"},
-		{"cities without longrun", benchConfig{shards: 1, cities: 4}, "-cities requires -longrun"},
-		{"checkpoint flags without longrun", benchConfig{shards: 1, checkpointDir: dir}, "require -longrun"},
-		{"resume", benchConfig{shards: 1, resume: plain}, ""},
-		{"resume with checkpoint dir", benchConfig{shards: 1, resume: plain,
-			checkpointDir: filepath.Join(dir, "ck2")}, ""},
-		{"resume with longrun", benchConfig{shards: 1, resume: plain, longrun: 3}, "exclusive"},
-		{"resume with run", benchConfig{shards: 1, resume: plain, run: "E2"}, "do not apply"},
-		{"resume with cities", benchConfig{shards: 1, resume: plain, cities: 2}, "sealed in the checkpoint"},
-		{"resume with cadence", benchConfig{shards: 1, resume: plain,
-			checkpointEvery: 1}, "sealed in the checkpoint"},
 	}
 	for _, c := range cases {
 		err := c.cfg.validate()

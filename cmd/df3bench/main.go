@@ -35,11 +35,6 @@ func main() {
 	flag.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	flag.StringVar(&cfg.memProfile, "memprofile", "", "write a heap profile taken after the last experiment to this file")
 	flag.StringVar(&cfg.tracePath, "trace", "", "record causal spans in trace-capable experiments (E18) and write Chrome trace-event JSON to this file")
-	flag.Float64Var(&cfg.longrun, "longrun", 0, "run one federation batch for this many simulated days (resumable; exclusive with -run)")
-	flag.IntVar(&cfg.cities, "cities", 0, "federation width for -longrun")
-	flag.Float64Var(&cfg.checkpointEvery, "checkpoint-every", 0, "cut a checkpoint every this many simulated days (-longrun/-resume)")
-	flag.StringVar(&cfg.checkpointDir, "checkpoint-dir", "", "directory for -checkpoint-every snapshots")
-	flag.StringVar(&cfg.resume, "resume", "", "restore a -longrun from this checkpoint file and continue to its horizon")
 	flag.BoolVar(&cfg.shardprof, "shardprof", false, "profile the E19 federation: per-shard busy/idle, barrier limiters, lookahead-bound pairs")
 	flag.Parse()
 
@@ -57,10 +52,6 @@ func main() {
 
 	if cfg.shardprof {
 		runShardprofMode(cfg, *seed)
-		return
-	}
-	if cfg.longrun > 0 || cfg.resume != "" {
-		runLongrunMode(cfg, *seed)
 		return
 	}
 

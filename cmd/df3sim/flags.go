@@ -14,8 +14,6 @@ type simConfig struct {
 	edgeRate, dccRate         float64
 	climate, start            string
 	arch, policy              string
-	cities, shards            int
-	intercity                 float64
 	csvPath, tracePath        string
 	spansPath                 string
 	mtbf                      float64
@@ -44,9 +42,9 @@ func (c simConfig) validate() error {
 	if c.days <= 0 {
 		return fmt.Errorf("-days %v: need a positive horizon", c.days)
 	}
-	if c.edgeRate < 0 || c.dccRate < 0 || c.intercity < 0 || c.mtbf < 0 {
-		return fmt.Errorf("rates must be non-negative (edge %v, dcc %v, intercity %v, mtbf %v)",
-			c.edgeRate, c.dccRate, c.intercity, c.mtbf)
+	if c.edgeRate < 0 || c.dccRate < 0 || c.mtbf < 0 {
+		return fmt.Errorf("rates must be non-negative (edge %v, dcc %v, mtbf %v)",
+			c.edgeRate, c.dccRate, c.mtbf)
 	}
 	if !validClimates[c.climate] {
 		return fmt.Errorf("unknown climate %q (paris|stockholm|seville)", c.climate)
@@ -59,26 +57,6 @@ func (c simConfig) validate() error {
 	}
 	if !validPolicies[c.policy] {
 		return fmt.Errorf("unknown offload policy %q", c.policy)
-	}
-	if c.cities < 1 {
-		return fmt.Errorf("-cities %d: need at least one city", c.cities)
-	}
-	if c.shards < 1 {
-		return fmt.Errorf("-shards %d: need at least one shard", c.shards)
-	}
-	if c.shards > c.cities {
-		return fmt.Errorf("-shards %d exceeds -cities %d: a city is the unit of parallelism", c.shards, c.cities)
-	}
-	if c.cities > 1 {
-		if c.csvPath != "" {
-			return fmt.Errorf("-csv records one city's capacity series; not available with -cities %d", c.cities)
-		}
-		if c.tracePath != "" {
-			return fmt.Errorf("-trace records one city's request events; not available with -cities %d (use -spans)", c.cities)
-		}
-		if c.mtbf > 0 {
-			return fmt.Errorf("-mtbf fault injection is single-city only for now")
-		}
 	}
 	for _, p := range []struct{ flag, path string }{
 		{"-csv", c.csvPath},

@@ -11,7 +11,6 @@ func base() simConfig {
 	return simConfig{
 		buildings: 6, rooms: 8, days: 7, edgeRate: 1, dccRate: 1.5,
 		climate: "paris", start: "nov", arch: "shared", policy: "smart",
-		cities: 1, shards: 1, intercity: 2,
 	}
 }
 
@@ -24,7 +23,6 @@ func TestSimConfigValidate(t *testing.T) {
 		wantErr string // "" = valid
 	}{
 		{"defaults", func(c *simConfig) {}, ""},
-		{"federation", func(c *simConfig) { c.cities = 10; c.shards = 4 }, ""},
 		{"zero buildings", func(c *simConfig) { c.buildings = 0 }, "at least 1 building"},
 		{"too many boilers", func(c *simConfig) { c.boilers = 7 }, "out of range"},
 		{"zero days", func(c *simConfig) { c.days = 0 }, "positive horizon"},
@@ -33,27 +31,10 @@ func TestSimConfigValidate(t *testing.T) {
 		{"bad start", func(c *simConfig) { c.start = "aug" }, "unknown start"},
 		{"bad arch", func(c *simConfig) { c.arch = "hybrid" }, "unknown arch"},
 		{"bad policy", func(c *simConfig) { c.policy = "yolo" }, "unknown offload policy"},
-		{"zero cities", func(c *simConfig) { c.cities = 0 }, "at least one city"},
-		{"zero shards", func(c *simConfig) { c.shards = 0 }, "at least one shard"},
-		{"shards beyond cities", func(c *simConfig) { c.cities = 2; c.shards = 4 }, "unit of parallelism"},
-		{"shards without cities", func(c *simConfig) { c.shards = 4 }, "unit of parallelism"},
-		{"csv in federation", func(c *simConfig) {
-			c.cities, c.shards = 3, 2
-			c.csvPath = filepath.Join(dir, "cap.csv")
-		}, "-csv"},
-		{"trace in federation", func(c *simConfig) {
-			c.cities = 3
-			c.tracePath = filepath.Join(dir, "t.csv")
-		}, "-trace"},
-		{"mtbf in federation", func(c *simConfig) { c.cities = 3; c.mtbf = 10 }, "single-city"},
-		{"spans in federation ok", func(c *simConfig) {
-			c.cities, c.shards = 3, 2
-			c.spansPath = filepath.Join(dir, "spans.jsonl")
-		}, ""},
 		{"spans into missing dir", func(c *simConfig) {
 			c.spansPath = filepath.Join(dir, "nope", "s.jsonl")
 		}, "-spans"},
-		{"csv single city ok", func(c *simConfig) { c.csvPath = filepath.Join(dir, "cap.csv") }, ""},
+		{"csv ok", func(c *simConfig) { c.csvPath = filepath.Join(dir, "cap.csv") }, ""},
 	}
 	for _, c := range cases {
 		cfg := base()

@@ -1,11 +1,10 @@
-// Command df3sim runs one DF3 city scenario — or a sharded federation of
-// them — and prints a full platform report: comfort, energy, PUE, per-flow
-// service metrics and the seasonal capacity trace.
+// Command df3sim runs one DF3 city scenario and prints a full platform
+// report: comfort, energy, PUE, per-flow service metrics and the seasonal
+// capacity trace. Federations of cities run under df3coord.
 //
 //	df3sim -buildings 6 -rooms 8 -days 7 -edge 1 -dcc 1.5
 //	df3sim -boilers 2 -days 30 -climate stockholm -start jan
 //	df3sim -arch dedicated -offload preempt -csv capacity.csv
-//	df3sim -cities 20 -shards 4 -days 2 -intercity 2   # federation on the shard kernel
 package main
 
 import (
@@ -36,9 +35,6 @@ func main() {
 	flag.StringVar(&cfg.arch, "arch", "shared", "architecture: shared | dedicated")
 	flag.StringVar(&cfg.policy, "offload", "smart", "offload policy: smart|reject|delay|preempt|vertical|horizontal")
 	offices := flag.Bool("offices", false, "office schedules instead of homes")
-	flag.IntVar(&cfg.cities, "cities", 1, "federate this many copies of the city (federation mode when > 1)")
-	flag.IntVar(&cfg.shards, "shards", 1, "parallel shard workers for federation mode (results identical at any count)")
-	flag.Float64Var(&cfg.intercity, "intercity", 2, "federation: inter-city batch offload jobs per hour per city (0 disables)")
 	flag.StringVar(&cfg.csvPath, "csv", "", "write the capacity series to this CSV file")
 	flag.Float64Var(&cfg.mtbf, "mtbf", 0, "mean days between machine failures (0 disables fault injection)")
 	flag.StringVar(&cfg.tracePath, "trace", "", "write per-request trace events to this CSV file")
@@ -93,11 +89,6 @@ func main() {
 	}
 
 	horizon := sim.Time(cfg.days) * sim.Day
-	if cfg.cities > 1 {
-		runFederation(cfg, *seed, ccfg, horizon)
-		return
-	}
-
 	c := city.Build(ccfg)
 	var rec *trace.Recorder
 	if cfg.tracePath != "" || cfg.spansPath != "" {
@@ -114,7 +105,7 @@ func main() {
 	if cfg.dccRate > 0 {
 		c.StartDCCTraffic(horizon, cfg.dccRate)
 	}
-	fmt.Printf("df3sim: %d buildings × %d rooms (%d boiler plants), %s/%s, %s arch, %s offload, %.0f days\n",
+	fmt.Printf("df3sim: %d buildings × %d rooms (%d boiler plants), %s/%s, %s arch, %s offload, %g days\n",
 		cfg.buildings, cfg.rooms, cfg.boilers, cfg.climate, cfg.start, cfg.arch, cfg.policy, cfg.days)
 	c.Run(horizon + 6*sim.Hour)
 
@@ -148,65 +139,6 @@ func main() {
 	}
 	if cfg.spansPath != "" {
 		writeSpans(rec, cfg.spansPath)
-	}
-}
-
-// runFederation is df3sim's federation mode: cfg.cities copies of the city
-// template on the sharded kernel, coupled by inter-city batch offload.
-func runFederation(cfg simConfig, seed uint64, ccfg city.Config, horizon sim.Time) {
-	f := city.BuildFederation(city.FederationConfig{
-		Seed: seed, Cities: cfg.cities, Shards: cfg.shards, City: ccfg,
-	})
-	if cfg.spansPath != "" {
-		f.EnableTracing(0)
-	}
-	if cfg.edgeRate > 0 {
-		f.StartEdgeTraffic(horizon, cfg.edgeRate)
-	}
-	if cfg.dccRate > 0 {
-		f.StartDCCTraffic(horizon, cfg.dccRate)
-	}
-	if cfg.intercity > 0 {
-		f.StartInterCityDCC(horizon, cfg.intercity)
-	}
-	fmt.Printf("df3sim: federation of %d cities (%d buildings × %d rooms each) on %d shards, %.0f days\n",
-		cfg.cities, cfg.buildings, cfg.rooms, cfg.shards, cfg.days)
-	f.Run(horizon + 6*sim.Hour)
-
-	s := f.Summarize()
-	st := f.Kernel.Stats()
-	t := report.NewTable("federation", "metric", "value")
-	t.Row("cities", s.Cities)
-	t.Row("edge submitted", s.EdgeSubmitted)
-	t.Row("edge served", s.EdgeServed)
-	t.Row("dcc jobs done", s.JobsDone)
-	t.Row("core-hours", s.WorkDone/3600)
-	t.Row("jobs exported", s.Exported)
-	t.Row("jobs imported", s.Imported)
-	t.Row("events fired", int64(s.EventsFired))
-	t.Write(os.Stdout)
-
-	k := report.NewTable("shard kernel", "metric", "value")
-	k.Row("shards", cfg.shards)
-	k.Row("sync windows", st.Windows)
-	k.Row("cross-LP messages", st.Sent)
-	k.Row("cross-shard messages", st.CrossShard)
-	k.Row("critical-path speedup", st.Speedup())
-	k.Write(os.Stdout)
-
-	if links := f.Backbone.Links(); len(links) > 0 {
-		b := report.NewTable("busiest backbone links", "src", "dst", "messages", "MB")
-		for i, l := range links {
-			if i == 10 {
-				break
-			}
-			b.Row(l.SrcCity, l.DstCity, l.Messages, l.Bytes/1e6)
-		}
-		b.Write(os.Stdout)
-	}
-
-	if cfg.spansPath != "" {
-		writeSpans(f.MergedTrace(), cfg.spansPath)
 	}
 }
 

@@ -15,7 +15,8 @@
 // Entry points:
 //
 //	cmd/df3sim    — run one city scenario from flags
+//	cmd/df3coord  — run a federation of cities, in process or over df3node workers
 //	cmd/df3bench  — regenerate every figure/claim of the paper
-//	examples/     — four runnable walkthroughs
+//	examples/     — five runnable walkthroughs
 //	bench_test.go — testing.B benchmarks, one per experiment
 package df3

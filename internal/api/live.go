@@ -452,15 +452,6 @@ func (l *Live) capture() (*checkpoint.Snapshot, error) {
 	}, l.cfg.BuildConfig), nil
 }
 
-// Snapshot captures the live session quiescent at a slice boundary,
-// implementing checkpoint.Snapshotter.
-func (l *Live) Snapshot() (*checkpoint.Snapshot, error) {
-	var snap *checkpoint.Snapshot
-	var err error
-	l.paced.Sync(func() { snap, err = l.capture() })
-	return snap, err
-}
-
 // Stop closes the ingest plane, halts the driver after its current slice,
 // waits for it, and flushes the arrival log. Idempotent.
 func (l *Live) Stop() error {

@@ -27,8 +27,9 @@ type Meta struct {
 	// snapshot was written, so recovery replays the log to WALOffset and
 	// treats only the suffix as a possibly-torn crash tail.
 	WALOffset int64
-	// Horizon is the run's simulated end, so a resumed batch run knows
-	// where the original was headed.
+	// Horizon is the simulated end of the run that wrote the snapshot.
+	// df3d records its live horizon here, but its recovery runs to its
+	// own configured horizon, so the field is informational.
 	Horizon sim.Time
 	// Cities and Shards describe the federation shape (redundant with the
 	// config recipe, but cheap to validate before a full rebuild).
@@ -38,22 +39,15 @@ type Meta struct {
 // Snapshot is one decoded checkpoint.
 type Snapshot struct {
 	Meta Meta
-	// Config is the caller-opaque build recipe (df3d and df3bench store
-	// JSON). A restore must rebuild from a byte-identical recipe; Verify
-	// checks it when the caller passes the current recipe.
+	// Config is the caller-opaque build recipe (df3d stores JSON). A
+	// restore must rebuild from a byte-identical recipe; Verify checks it
+	// when the caller passes the current recipe.
 	Config []byte
 	// Engines is the per-city (per-shard LP) engine state, in city order.
 	Engines []sim.EngineState
 	// Partition is the city→shard assignment — the merge metadata that
 	// makes per-shard snapshots compose deterministically.
 	Partition []int
-}
-
-// Snapshotter is anything that can capture itself into a snapshot — the
-// live serving plane implements it under its driver mutex, the batch
-// long-run loop between Run segments.
-type Snapshotter interface {
-	Snapshot() (*Snapshot, error)
 }
 
 // Capture snapshots a quiescent federation. The caller supplies the parts

@@ -94,9 +94,7 @@ func Latest(dir string) (s *Snapshot, path string, skipped []string, err error) 
 	return nil, "", skipped, fmt.Errorf("all %d checkpoints in %s invalid: %w", len(names), dir, ErrCorrupt)
 }
 
-// ReadFile loads one snapshot from disk.
-func ReadFile(path string) (*Snapshot, error) { return readFile(path) }
-
+// readFile loads one snapshot from disk.
 func readFile(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -43,9 +43,10 @@ type FederationConfig struct {
 
 // Federation is the built scenario.
 type Federation struct {
-	Cfg      FederationConfig
-	Kernel   *shard.Kernel
-	Backbone *network.Backbone
+	Cfg    FederationConfig
+	Kernel *shard.Kernel
+	// Backbone is the validated inter-city WAN every city pair shares.
+	Backbone network.BackboneSpec
 	Cities   []*City
 	// Driver advances the kernel's clock in Run (batch when nil). A
 	// sim.Paced driver here runs the whole sharded federation in real
@@ -74,7 +75,10 @@ func BuildFederation(cfg FederationConfig) *Federation {
 	if cfg.Backbone == (network.BackboneSpec{}) {
 		cfg.Backbone = network.DefaultBackbone()
 	}
-	bb := network.NewBackbone(cfg.Backbone, cfg.Cities)
+	bb := cfg.Backbone
+	if bb.Latency <= 0 || bb.Staging < 0 || bb.Bandwidth <= 0 {
+		panic(fmt.Sprintf("city: malformed backbone spec %+v", bb))
+	}
 	k := shard.NewKernel(cfg.Shards, bb.MinDelay())
 	f := &Federation{
 		Cfg: cfg, Kernel: k, Backbone: bb,
@@ -91,7 +95,6 @@ func BuildFederation(cfg FederationConfig) *Federation {
 	}
 	assign := shard.PartitionContiguous(cfg.Cities, cfg.Shards, nil)
 	k.Partition(assign)
-	bb.AssignShards(assign)
 	f.partition = assign
 	// Inter-city traffic travels as (kind, payload) messages so a
 	// federation partitioned across processes behaves identically to an
@@ -196,14 +199,15 @@ func (f *Federation) StartInterCityDCC(until sim.Time, jobsPerHour float64) {
 	}
 }
 
-// submitRemote ships one batch job src→dst across the backbone: accounting
-// and delay at the boundary link, delivery through the kernel mailbox into
-// the destination city's middleware. The job goes as a serialisable
-// payload (decoded by decodeMsg on the owning node), so the same path
-// serves in-process shards and cross-process workers identically.
+// submitRemote ships one batch job src→dst across the backbone: the
+// source city counts the export, the backbone prices the delay, and the
+// kernel mailbox delivers into the destination city's middleware. The job
+// goes as a serialisable payload (decoded by decodeMsg on the owning
+// node), so the same path serves in-process shards and cross-process
+// workers identically.
 func (f *Federation) submitRemote(srcCity, dstCity int, job workload.BatchJob) {
 	size := units.Byte(float64(job.Input) * float64(len(job.TaskWork)))
-	delay := f.Backbone.Account(srcCity, dstCity, size)
+	delay := f.Backbone.Delay(size)
 	f.exported[srcCity]++
 	f.Kernel.SendMsg(f.lps[srcCity], f.lps[dstCity], delay, size, MsgKindInterCityJob, encodeJob(job))
 }
@@ -410,7 +414,7 @@ func (f *Federation) Observability() *metrics.Registry {
 	r := metrics.NewRegistry()
 	f.registry = r
 
-	r.GaugeFunc("df3_shard_windows", "synchronization windows executed", nil,
+	r.GaugeFunc("df3_shard_windows", "synchronization windows executed by this kernel's own Run (0 on a partition a coordinator drives)", nil,
 		func() float64 { return float64(f.Kernel.Stats().Windows) })
 	r.GaugeFunc("df3_shard_speedup", "critical-path speedup over the serial kernel", nil,
 		func() float64 { return f.Kernel.Stats().Speedup() })
@@ -419,7 +423,13 @@ func (f *Federation) Observability() *metrics.Registry {
 	r.CounterFunc("df3_shard_cross_shard_messages_total", "messages that crossed a shard boundary", nil,
 		func() int64 { return f.Kernel.Stats().CrossShard })
 	r.CounterFunc("df3_backbone_messages_total", "inter-city transfers on the backbone", nil,
-		f.Backbone.Messages)
+		func() int64 {
+			var n int64
+			for _, e := range f.exported {
+				n += e
+			}
+			return n
+		})
 	for s := 0; s < f.Kernel.Shards(); s++ {
 		s := s
 		labels := metrics.Labels{"shard": strconv.Itoa(s)}

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"df3/internal/metrics"
 	"df3/internal/obs"
+	"df3/internal/shard"
 	"df3/internal/sim"
 )
 
@@ -179,16 +181,27 @@ func TestAttachFlightRequiresTracing(t *testing.T) {
 	smallFederation(2, 1).AttachFlight(obs.NewFlight(16, obs.Policy{}))
 }
 
-// TestFederationObservability: the registry exposes shard-labeled series
-// and per-city ledgers that match the live counters.
-func TestFederationObservability(t *testing.T) {
-	f := smallFederation(3, 2)
-	runFederation(f, 2*sim.Hour)
+// scrape writes a federation's registry and parses it back.
+func scrape(t *testing.T, f *Federation) (string, map[string]float64) {
+	t.Helper()
 	var b strings.Builder
 	if err := f.Observability().WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	text := b.String()
+	series, err := metrics.ParsePrometheus(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.String(), series
+}
+
+// TestFederationObservability: the registry exposes shard-labeled series
+// and per-city ledgers that match the live counters, and the backbone
+// counter equals the exports of the cities a partition owns.
+func TestFederationObservability(t *testing.T) {
+	f := smallFederation(3, 2)
+	runFederation(f, 2*sim.Hour)
+	text, series := scrape(t, f)
 	for _, want := range []string{
 		`df3_city_edge_served_total{city="0",shard="0"}`,
 		`df3_city_edge_served_total{city="2",shard="1"}`,
@@ -201,5 +214,50 @@ func TestFederationObservability(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("scrape missing %s", want)
 		}
+	}
+	exported := f.Summarize().Exported
+	if exported == 0 {
+		t.Fatal("no inter-city traffic generated; backbone counter untested")
+	}
+	if got := series["df3_backbone_messages_total"]; got != float64(exported) {
+		t.Errorf("df3_backbone_messages_total = %v, want %d exported", got, exported)
+	}
+
+	// Two restricted partitions of one spec, as df3coord drives them:
+	// each counts only its own cities' exports, and together they count
+	// the unrestricted run's.
+	spec := testSpec()
+	serial := spec.Build(1)
+	serial.Run(spec.Until())
+	owned := [][]int{{0, 1}, {2, 3, 4}}
+	feds := make([]*Federation, len(owned))
+	parts := make([]shard.Part, len(owned))
+	for p, cities := range owned {
+		feds[p] = spec.Build(2)
+		feds[p].Restrict(cities)
+		parts[p] = feds[p].Kernel
+	}
+	sy, err := shard.NewSync(feds[0].Backbone.MinDelay(), parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sy.Run(spec.Until()); err != nil {
+		t.Fatal(err)
+	}
+	var sum float64
+	for p, cities := range owned {
+		var want int64
+		for _, ci := range cities {
+			want += serial.Exported(ci)
+		}
+		_, series := scrape(t, feds[p])
+		got := series["df3_backbone_messages_total"]
+		if got != float64(want) {
+			t.Errorf("partition %d: df3_backbone_messages_total = %v, want %d (its cities' exports)", p, got, want)
+		}
+		sum += got
+	}
+	if want := serial.Summarize().Exported; want == 0 || sum != float64(want) {
+		t.Errorf("partitions count %v backbone messages, unrestricted run exported %d", sum, want)
 	}
 }

@@ -106,6 +106,5 @@ func (f *Federation) Restrict(owned []int) {
 	}
 	f.Kernel.Partition(assign)
 	f.Kernel.Own(owned)
-	f.Backbone.AssignShards(assign)
 	f.partition = assign
 }

@@ -79,8 +79,8 @@ func ParseSpec(b []byte) (Spec, error) {
 // run drains until Until.
 func (s Spec) Horizon() sim.Time { return sim.Time(s.Days) * sim.Day }
 
-// Until is the run's simulated end: the traffic horizon plus a drain
-// margin, mirroring df3sim's federation mode.
+// Until is the run's simulated end: the traffic horizon plus a six-hour
+// drain margin, the same margin df3sim gives a single city.
 func (s Spec) Until() sim.Time { return s.Horizon() + 6*sim.Hour }
 
 // Build constructs the federation the spec describes on a kernel with

@@ -1,10 +1,6 @@
 package network
 
 import (
-	"fmt"
-	"sort"
-	"sync"
-
 	"df3/internal/sim"
 	"df3/internal/units"
 )
@@ -12,14 +8,11 @@ import (
 // This file models the inter-city backbone of a sharded federation: the
 // wide-area fabric between building fleets that city-local Fabrics never
 // see. Each city keeps its own Fabric on its own engine; traffic that
-// leaves a city crosses a BoundaryLink of the Backbone instead, and the
-// backbone's minimum end-to-end delay is what the shard kernel derives its
-// conservative lookahead from.
-//
-// Routing is shard-aware: the backbone knows which shard each city is
-// assigned to, so its accounting splits traffic that stayed inside one
-// shard worker from traffic that genuinely crossed a shard boundary — the
-// messages the parallel kernel pays synchronization for.
+// leaves a city takes the backbone's Delay instead, and the backbone's
+// minimum end-to-end delay is what the shard kernel derives its
+// conservative lookahead from. The backbone keeps no counters: the shard
+// kernel counts cross-LP and cross-shard messages, and the federation
+// counts each city's exports.
 
 // BackboneSpec parameterises the federation WAN.
 type BackboneSpec struct {
@@ -40,123 +33,15 @@ func DefaultBackbone() BackboneSpec {
 	return BackboneSpec{Latency: 0.012, Bandwidth: 250e6, Staging: 30}
 }
 
-// BoundaryLink accounts traffic between one ordered city pair.
-type BoundaryLink struct {
-	SrcCity, DstCity int
-	Messages         int64
-	Bytes            float64
-}
-
-// Backbone is the inter-city WAN with shard-aware accounting. It is safe
-// for concurrent use: shard workers account sends from their own
-// goroutines during a window.
-type Backbone struct {
-	Spec BackboneSpec
-
-	mu    sync.Mutex
-	links map[[2]int]*BoundaryLink
-	// shardOf maps city → shard; -1 (or missing) means unassigned.
-	shardOf []int
-	// crossMsgs/crossBytes count traffic whose endpoints sat on
-	// different shards.
-	crossMsgs  int64
-	crossBytes float64
-	totalMsgs  int64
-}
-
-// NewBackbone returns a backbone over `cities` cities.
-func NewBackbone(spec BackboneSpec, cities int) *Backbone {
-	if spec.Latency <= 0 || spec.Staging < 0 || spec.Bandwidth <= 0 {
-		panic(fmt.Sprintf("network: malformed backbone spec %+v", spec))
-	}
-	shards := make([]int, cities)
-	for i := range shards {
-		shards[i] = -1
-	}
-	return &Backbone{Spec: spec, links: map[[2]int]*BoundaryLink{}, shardOf: shards}
-}
-
-// AssignShards installs the city→shard map the kernel's partition chose,
-// making subsequent accounting shard-aware.
-func (b *Backbone) AssignShards(shardOf []int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(shardOf) != len(b.shardOf) {
-		panic(fmt.Sprintf("network: shard map for %d cities, backbone has %d", len(shardOf), len(b.shardOf)))
-	}
-	copy(b.shardOf, shardOf)
-}
-
 // MinDelay returns the smallest possible end-to-end delay across the
 // backbone — staging plus propagation for a zero-byte payload. The shard
 // kernel's lookahead derives from it.
-func (b *Backbone) MinDelay() sim.Time {
-	return b.Spec.Staging + b.Spec.Latency
+func (s BackboneSpec) MinDelay() sim.Time {
+	return s.Staging + s.Latency
 }
 
 // Delay returns the modeled transfer time for a payload between two cities:
 // staging floor, propagation, and serialisation at the pair bandwidth.
-func (b *Backbone) Delay(size units.Byte) sim.Time {
-	return b.Spec.Staging + b.Spec.Latency + sim.Time(float64(size)/b.Spec.Bandwidth)
-}
-
-// Account records one src→dst transfer. Call it at send time with the
-// payload size; it returns the modeled delay so send paths account and
-// route in one step.
-func (b *Backbone) Account(src, dst int, size units.Byte) sim.Time {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	key := [2]int{src, dst}
-	l := b.links[key]
-	if l == nil {
-		l = &BoundaryLink{SrcCity: src, DstCity: dst}
-		b.links[key] = l
-	}
-	l.Messages++
-	l.Bytes += float64(size)
-	b.totalMsgs++
-	if src < len(b.shardOf) && dst < len(b.shardOf) {
-		ss, ds := b.shardOf[src], b.shardOf[dst]
-		if ss != ds && ss >= 0 && ds >= 0 {
-			b.crossMsgs++
-			b.crossBytes += float64(size)
-		}
-	}
-	return b.Delay(size)
-}
-
-// Links returns per-pair accounting in sorted (src, dst) order.
-func (b *Backbone) Links() []BoundaryLink {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	keys := make([][2]int, 0, len(b.links))
-	for k := range b.links {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	out := make([]BoundaryLink, len(keys))
-	for i, k := range keys {
-		out[i] = *b.links[k]
-	}
-	return out
-}
-
-// Messages returns the total transfers accounted.
-func (b *Backbone) Messages() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.totalMsgs
-}
-
-// CrossShard returns the transfers (and bytes) whose endpoints lived on
-// different shard workers — the synchronization-bearing boundary traffic.
-func (b *Backbone) CrossShard() (int64, float64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.crossMsgs, b.crossBytes
+func (s BackboneSpec) Delay(size units.Byte) sim.Time {
+	return s.Staging + s.Latency + sim.Time(float64(size)/s.Bandwidth)
 }

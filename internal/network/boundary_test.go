@@ -3,51 +3,12 @@ package network
 import "testing"
 
 func TestBackboneDelayAndMin(t *testing.T) {
-	b := NewBackbone(BackboneSpec{Latency: 0.01, Bandwidth: 1e6, Staging: 30}, 4)
+	b := BackboneSpec{Latency: 0.01, Bandwidth: 1e6, Staging: 30}
 	if got := b.MinDelay(); got != 30.01 {
 		t.Fatalf("MinDelay = %v, want 30.01", got)
 	}
 	// 2 MB at 1 MB/s serialises in 2 s on top of the floor.
 	if got := b.Delay(2e6); got < 32.01-1e-9 || got > 32.01+1e-9 {
 		t.Fatalf("Delay(2MB) = %v, want 32.01", got)
-	}
-}
-
-func TestBackboneShardAwareAccounting(t *testing.T) {
-	b := NewBackbone(DefaultBackbone(), 4)
-	b.AssignShards([]int{0, 0, 1, 1})
-
-	d := b.Account(0, 1, 1000) // same shard
-	if d != b.Delay(1000) {
-		t.Fatalf("Account returned %v, want Delay %v", d, b.Delay(1000))
-	}
-	b.Account(0, 2, 2000) // cross shard
-	b.Account(3, 0, 500)  // cross shard
-	b.Account(0, 1, 1000) // same shard again
-
-	if got := b.Messages(); got != 4 {
-		t.Fatalf("Messages = %d, want 4", got)
-	}
-	msgs, bytes := b.CrossShard()
-	if msgs != 2 || bytes != 2500 {
-		t.Fatalf("CrossShard = %d msgs %v bytes, want 2, 2500", msgs, bytes)
-	}
-
-	links := b.Links()
-	if len(links) != 3 {
-		t.Fatalf("%d boundary links, want 3", len(links))
-	}
-	// Sorted pair order with aggregated counts.
-	first := links[0]
-	if first.SrcCity != 0 || first.DstCity != 1 || first.Messages != 2 || first.Bytes != 2000 {
-		t.Fatalf("links[0] = %+v", first)
-	}
-}
-
-func TestBackboneUnassignedShardsNotCross(t *testing.T) {
-	b := NewBackbone(DefaultBackbone(), 2)
-	b.Account(0, 1, 100)
-	if msgs, _ := b.CrossShard(); msgs != 0 {
-		t.Fatalf("unassigned cities counted as cross-shard: %d", msgs)
 	}
 }

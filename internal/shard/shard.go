@@ -83,7 +83,7 @@ type message struct {
 }
 
 // PairTraffic accounts messages and bytes that crossed one (src shard, dst
-// shard) boundary — the shard layer's view of boundary links.
+// shard) boundary — the shard layer's view of cross-shard traffic.
 type PairTraffic struct {
 	SrcShard, DstShard int
 	Messages           int64

@@ -145,6 +145,36 @@ func TestInjectQueueClose(t *testing.T) {
 	}
 }
 
+// TestInjectQueueDrainSteadyStateAllocs: once the queue and its spare are
+// sized, a cycle of injections and one drain allocates nothing, and each
+// drained batch still holds exactly its own seqs in order.
+func TestInjectQueueDrainSteadyStateAllocs(t *testing.T) {
+	q := NewInjectQueue()
+	fn := func(uint64) {}
+	const perCycle = 256
+	var next uint64
+	cycle := func() {
+		for i := 0; i < perCycle; i++ {
+			q.Inject(fn)
+		}
+		batch := q.Drain()
+		for i, inj := range batch {
+			if inj.Seq != next+uint64(i) || inj.Fn == nil {
+				t.Fatalf("batch item %d has seq %d, want %d", i, inj.Seq, next+uint64(i))
+			}
+		}
+		if len(batch) != perCycle {
+			t.Fatalf("drained %d injections, want %d", len(batch), perCycle)
+		}
+		next += perCycle
+	}
+	cycle() // sizes the queue
+	cycle() // sizes the spare
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("steady-state inject/drain cycle allocates %v times, want 0", allocs)
+	}
+}
+
 // TestPacedConcurrentInjection hammers the queue from many goroutines while
 // a paced drive is applying — the -race exercise of the ingest boundary.
 func TestPacedConcurrentInjection(t *testing.T) {

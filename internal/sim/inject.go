@@ -19,8 +19,11 @@ type Injection struct {
 // and applies the injections, in seq order, at the simulation's current
 // time. The queue itself never touches the engine.
 type InjectQueue struct {
-	mu     sync.Mutex
-	items  []Injection
+	mu    sync.Mutex
+	items []Injection
+	// spare is the batch Drain handed out last; the next Drain reuses it
+	// as the queue, so a steady drain cycle never regrows a slice.
+	spare  []Injection
 	seq    uint64
 	closed bool
 }
@@ -65,7 +68,8 @@ func (q *InjectQueue) ResumeAt(next uint64) {
 }
 
 // Drain removes and returns all pending injections in seq order. Only the
-// driving goroutine should call it.
+// driving goroutine should call it. The returned batch is valid until the
+// next Drain, which reuses its backing array for the queue.
 func (q *InjectQueue) Drain() []Injection {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -73,7 +77,9 @@ func (q *InjectQueue) Drain() []Injection {
 		return nil
 	}
 	out := q.items
-	q.items = nil
+	clear(q.spare) // drop the last batch's closures before reuse
+	q.items = q.spare[:0]
+	q.spare = out
 	return out
 }
 
