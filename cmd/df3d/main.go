@@ -223,16 +223,14 @@ func runLive(cfg daemonConfig, ccfg city.Config) {
 		lcfg.ArrivalLog = logFile
 	}
 	if cfg.flight > 0 {
-		// One sampling policy governs both planes: the per-city recorder
-		// rings and the ingest request recorder. City rings attach before
-		// NewLive (which attaches "ingest" itself, then registers the
+		// The flight's one sampling policy governs every source: the
+		// per-city recorder rings and the ingest ring. City rings attach
+		// before NewLive (which hooks "ingest" itself, then registers the
 		// flight series) so Flight.Register sees every source.
-		pol := obs.Policy{Default: cfg.traceSample}
-		fl := obs.NewFlight(cfg.flight, pol)
+		fl := obs.NewFlight(cfg.flight, obs.Policy{Default: cfg.traceSample})
 		f.EnableTracing(cfg.flight)
 		f.AttachFlight(fl)
 		lcfg.Flight = fl
-		lcfg.TracePolicy = pol
 	}
 	if cfg.profile {
 		f.Kernel.EnableProfile()

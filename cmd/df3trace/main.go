@@ -1,6 +1,7 @@
 // Command df3trace summarises traces written by df3sim. The default mode
-// reads per-event records (df3sim -trace) and reports per-kind counts,
-// rates and value distributions. The spans mode reads causal spans
+// reads per-event records (df3sim -trace writes them as CSV, and df3trace
+// reads them as CSV whatever the file is called) and reports per-kind
+// counts, rates and value distributions. The spans mode reads causal spans
 // (df3sim -spans) and reports the per-stage latency breakdown, the
 // exclusive self-time decomposition and the critical path of the slowest
 // request; -chrome additionally converts the spans to Chrome trace-event
@@ -17,8 +18,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
 	"df3/internal/report"
 	"df3/internal/trace"
@@ -30,29 +31,25 @@ func main() {
 		return
 	}
 	if len(os.Args) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: df3trace <trace.csv|trace.jsonl>")
+		fmt.Fprintln(os.Stderr, "usage: df3trace <trace.csv>")
 		fmt.Fprintln(os.Stderr, "       df3trace spans [-chrome out.json] [-paths n] <spans.jsonl>")
 		os.Exit(2)
 	}
-	eventsMode(os.Args[1])
+	if err := eventsMode(os.Stdout, os.Args[1]); err != nil {
+		fatal("%v", err)
+	}
 }
 
-// eventsMode is the original per-event-kind summary.
-func eventsMode(path string) {
+// eventsMode writes the per-event-kind summary of the CSV events at path.
+func eventsMode(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
-		fatal("%v", err)
+		return err
 	}
 	defer f.Close()
-
-	var events []trace.Event
-	if strings.HasSuffix(path, ".jsonl") {
-		events, err = trace.ReadJSONL(f)
-	} else {
-		events, err = trace.ReadCSV(f)
-	}
+	events, err := trace.ReadCSV(f)
 	if err != nil {
-		fatal("%v", err)
+		return err
 	}
 
 	t := report.NewTable(fmt.Sprintf("%s: %d events", path, len(events)),
@@ -60,9 +57,7 @@ func eventsMode(path string) {
 	for _, s := range trace.Summarize(events) {
 		t.Row(s.Kind, s.Count, s.Rate(), s.Mean, s.Median, s.P99, s.Max)
 	}
-	if err := t.Write(os.Stdout); err != nil {
-		fatal("%v", err)
-	}
+	return t.Write(w)
 }
 
 // spansMode reads a span JSONL file and prints the latency decomposition.

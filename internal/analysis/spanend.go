@@ -25,32 +25,22 @@ var SpanendAnalyzer = &Analyzer{
 
 const tracePkgPath = "df3/internal/trace"
 
-// obsPkgPath hosts obs.Sampled, the head-sampling facade whose span ids
-// obey the same begin/end discipline as the raw recorder's — the
-// analyzer tracks both, so sampled call sites need no suppressions.
-const obsPkgPath = "df3/internal/obs"
-
 // isSpanBegin matches the calls that mint a locally-owned span id.
 func isSpanBegin(fn *types.Func) bool {
-	return FuncIs(fn, tracePkgPath, "Recorder.BeginSpan") ||
-		FuncIs(fn, obsPkgPath, "Sampled.BeginRoot") ||
-		FuncIs(fn, obsPkgPath, "Sampled.BeginSpan")
+	return FuncIs(fn, tracePkgPath, "Recorder.BeginSpan")
 }
 
 // isSpanEnd matches the calls that discharge the end obligation.
 func isSpanEnd(fn *types.Func) bool {
 	return FuncIs(fn, tracePkgPath, "Recorder.EndSpan") ||
-		FuncIs(fn, tracePkgPath, "Recorder.EndSpanDetail") ||
-		FuncIs(fn, obsPkgPath, "Sampled.EndSpan") ||
-		FuncIs(fn, obsPkgPath, "Sampled.EndSpanDetail")
+		FuncIs(fn, tracePkgPath, "Recorder.EndSpanDetail")
 }
 
 // isSpanLifecycle matches every call a span id may flow into without
 // escaping: begins (as the parent argument), ends, and instants.
 func isSpanLifecycle(fn *types.Func) bool {
 	return isSpanBegin(fn) || isSpanEnd(fn) ||
-		FuncIs(fn, tracePkgPath, "Recorder.Instant") ||
-		FuncIs(fn, obsPkgPath, "Sampled.Instant")
+		FuncIs(fn, tracePkgPath, "Recorder.Instant")
 }
 
 func runSpanend(pass *Pass) error {

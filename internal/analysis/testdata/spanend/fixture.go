@@ -3,7 +3,6 @@
 package fixture
 
 import (
-	"df3/internal/obs"
 	"df3/internal/sim"
 	"df3/internal/trace"
 )
@@ -47,45 +46,4 @@ func branches(r *trace.Recorder, now sim.Time) {
 func escapes(r *trace.Recorder, now sim.Time) trace.SpanID {
 	id := r.BeginSpan(now, "stage", 1, 0)
 	return id
-}
-
-// Sampled roots obey the same contract: a root begun through the
-// head-sampling wrapper leaks exactly like a raw recorder span.
-func sampledLeakyReturn(s *obs.Sampled, now sim.Time) {
-	id := s.BeginRoot(now, "ingest", "edge", 7, 1)
-	if now > 0 {
-		return // want `return leaks span id`
-	}
-	s.EndSpan(now+1, id)
-}
-
-func sampledFallsThrough(s *obs.Sampled, now sim.Time) {
-	id := s.BeginSpan(now, "stage", 1, 0) // want `span id is not ended when its block falls through`
-	if now > 0 {
-		s.EndSpanDetail(now, id, "early")
-	}
-}
-
-// Wrapper lifecycle calls — child begins under the id, instants, ends on
-// every branch — keep the id local and satisfy the analyzer without any
-// suppression.
-func sampledBranches(s *obs.Sampled, now sim.Time) {
-	id := s.BeginRoot(now, "ingest", "dcc", 7, 2)
-	child := s.BeginSpan(now, "queue", 2, id)
-	s.Instant(now, "note", 2, id, "queued")
-	s.EndSpan(now+1, child)
-	if now > 0 {
-		s.EndSpanDetail(now+1, id, "early")
-		return
-	}
-	s.EndSpan(now+2, id)
-}
-
-// A deferred wrapper end covers every later exit.
-func sampledDeferred(s *obs.Sampled, now sim.Time) {
-	id := s.BeginRoot(now, "ingest", "edge", 1, 3)
-	defer s.EndSpan(now+1, id)
-	if now > 0 {
-		return
-	}
 }

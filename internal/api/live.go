@@ -83,15 +83,18 @@ type LiveConfig struct {
 	VerifyAfter int
 
 	// Flight, when set, is the always-on flight recorder: the session
-	// opens a span per sampled ingest request into a dedicated recorder
-	// hooked into it, and GET /v1/traces streams its rings. The flight
-	// plane has its own locks — it works mid-slice and during recovery.
+	// files one completed span per settled ingest line into its "ingest"
+	// ring, under Flight's own sampling policy, and GET /v1/traces
+	// streams its rings. The flight plane has its own locks — it works
+	// mid-slice and during recovery.
 	Flight *obs.Flight
-	// TracePolicy samples ingest request spans (zero value: keep all).
+	// TracePolicy is unused. Ingest spans are sampled by the policy given
+	// to obs.NewFlight, as every other span source is.
+	//
+	// Deprecated: set the policy on obs.NewFlight.
 	TracePolicy obs.Policy
-	// TraceCapacity is unused. The ingest span recorder hands every
-	// completed span to Flight and keeps no ring of its own, so the
-	// capacity given to obs.NewFlight bounds the ingest spans.
+	// TraceCapacity is unused. Ingest spans go straight into Flight's
+	// ring, so the capacity given to obs.NewFlight bounds them.
 	//
 	// Deprecated: set the capacity on obs.NewFlight.
 	TraceCapacity int
@@ -127,11 +130,10 @@ type Live struct {
 	ckptWrites *metrics.SharedCounter
 	ckptErrors *metrics.SharedCounter
 
-	// Flight tracing: sampled wraps a dedicated ingest recorder whose
-	// completed spans flow into cfg.Flight. Driven only from the driver
-	// goroutine (inject apply + outcome callbacks).
-	flight  *obs.Flight
-	sampled *obs.Sampled
+	// Flight tracing: fileSpan is cfg.Flight's "ingest" sink, called by
+	// whichever shard worker settles a line (nil: tracing off).
+	flight   *obs.Flight
+	fileSpan func(trace.Span)
 
 	// Recovery and checkpoint telemetry, atomics because scrape-time
 	// GaugeFuncs read them from handler goroutines while the driver
@@ -193,10 +195,7 @@ func NewLive(f *city.Federation, cfg LiveConfig) *Live {
 	}
 	if cfg.Flight != nil {
 		l.flight = cfg.Flight
-		rec := trace.NewRecorder(0) // keeps no ring: Flight's holds the spans
-		rec.BeginProcess("ingest")
-		l.flight.Attach("ingest", rec)
-		l.sampled = obs.NewSampled(rec, cfg.TracePolicy)
+		l.fileSpan = l.flight.Hook("ingest")
 	}
 	checkpointing := cfg.CheckpointEvery > 0 && cfg.CheckpointDir != ""
 	if l.logw != nil || checkpointing {
@@ -321,12 +320,7 @@ func (l *Live) registerMetrics() {
 			})
 	}
 
-	// Flight-plane sampling verdicts for the ingest recorder.
-	if l.sampled != nil {
-		r.CounterFunc("df3_trace_ingest_admitted_total", "ingest requests given a trace",
-			nil, func() int64 { return int64(l.sampled.Admitted()) })
-		r.CounterFunc("df3_trace_ingest_sampled_out_total", "ingest requests sampled out of tracing",
-			nil, func() int64 { return int64(l.sampled.SampledOut()) })
+	if l.flight != nil {
 		l.flight.Register(r)
 	}
 }
@@ -540,20 +534,15 @@ type ingestBatch struct {
 	answered bool // the handler has answered; later outcomes file nothing
 }
 
-// ingestLine is one line of a request: its record on the way in, its
-// root span while in flight and its result on the way out.
+// ingestLine is one line of a request: its record on the way in and its
+// result on the way out.
 type ingestLine struct {
 	b     *ingestBatch
 	class string
 	start time.Time // admission instant, the zero of WallMs
-	rec   ArrivalRecord
-	// span is the line's flight-recorder root, begun on the driver
-	// goroutine when the arrival applies and ended by the outcome
-	// callback. spanAt is the begin time, so the end lands at spanAt +
-	// SimLatency without reading a mid-window clock. A zero span
-	// (sampled out, tracing off) makes every span call a no-op.
-	span   trace.SpanID
-	spanAt sim.Time
+	// rec is the arrival; apply fills its Seq and At (the arrival's sim
+	// time) before the outcome callback can run.
+	rec ArrivalRecord
 	// seq and injected are written by the handler after Inject returns,
 	// so outcome callbacks never read them.
 	seq      uint64
@@ -634,21 +623,17 @@ func (b *ingestBatch) wait() {
 }
 
 // apply runs on the driver goroutine when the queue drains the line: it
-// logs the arrival, opens the line's root span and submits it.
+// logs the arrival and submits it.
 func (ln *ingestLine) apply(seq uint64) {
 	l := ln.b.live
-	now := l.fed.Now()
 	ln.rec.Seq = seq
-	ln.rec.At = float64(now)
+	ln.rec.At = float64(l.fed.Now())
 	if l.logw != nil {
 		l.logw.write(ln.rec)
 	}
-	ln.spanAt = now
 	if ln.class == ClassDCC {
-		ln.span = l.sampled.BeginRoot(now, stageIngestDCC, ln.class, ln.rec.Tenant, seq+1)
 		applyArrival(l.fed, ln.rec, nil, ln.settleDCC)
 	} else {
-		ln.span = l.sampled.BeginRoot(now, stageIngestEdge, ln.class, ln.rec.Tenant, seq+1)
 		applyArrival(l.fed, ln.rec, ln.settleEdge, nil)
 	}
 }
@@ -681,15 +666,24 @@ func (ln *ingestLine) settleDCC(o core.DCCOutcome) {
 // settle runs on the shard worker that settled the line (the driver
 // goroutine on one shard); everything it touches is concurrency-safe. It
 // releases the admission slot first, so a waiting spike slot frees at
-// the simulated settle instant, and counts the verdict. It files the
-// result only if the handler has not answered yet.
+// the simulated settle instant, counts the verdict and files the line's
+// span, which runs from the arrival to arrival + SimLatency. It files
+// the result only if the handler has not answered yet.
 func (ln *ingestLine) settle(res ingestResult, simLat sim.Time) {
 	b := ln.b
 	l := b.live
 	l.adm.Release(ln.class)
 	l.requests[ln.class][res.Outcome].Inc()
 	l.simHist[ln.class].Observe(float64(simLat))
-	l.sampled.EndSpanDetail(ln.spanAt+simLat, ln.span, res.Outcome)
+	if l.fileSpan != nil {
+		stage := stageIngestEdge
+		if ln.class == ClassDCC {
+			stage = stageIngestDCC
+		}
+		id := ln.rec.Seq + 1
+		l.fileSpan(trace.Span{ID: trace.SpanID(id), Trace: id, Stage: stage,
+			Begin: ln.rec.At, End: ln.rec.At + simLat, Detail: res.Outcome})
+	}
 	wall := l.clock.Now().Sub(ln.start)
 	res.WallMs = wall.Seconds() * 1e3
 	b.mu.Lock()

@@ -4,12 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
 
+	"df3/internal/metrics"
 	"df3/internal/obs"
+	"df3/internal/trace"
 )
 
 // readBody drains and closes a response body, returning it as a string.
@@ -89,6 +92,98 @@ func TestLiveTracesNDJSON(t *testing.T) {
 	}
 	if len(sum.Stages) == 0 {
 		t.Fatal("summary reports no stage latencies")
+	}
+}
+
+// TestIngestSpansSampledOnce: the Flight's policy makes the one sampling
+// decision for ingest spans, so the ingest ring's counters see every
+// settled line (kept plus sampled out equals the lines sent), and each
+// kept span is its line's own: trace id seq+1 as the policy admits it,
+// running from the arrival to arrival + sim latency, with the outcome as
+// its detail.
+func TestIngestSpansSampledOnce(t *testing.T) {
+	pol := obs.Policy{Default: 4}
+	var logBuf bytes.Buffer
+	// TracePolicy is set as callers that predate its deprecation set it:
+	// to the Flight's own policy.
+	l, ts := newLiveRig(t, LiveConfig{
+		Flight: obs.NewFlight(1024, pol), TracePolicy: pol, ArrivalLog: &logBuf,
+	})
+
+	const n = 200
+	lines := make([]string, n)
+	for i := range lines {
+		lines[i] = fmt.Sprintf(`{"kind":"edge","tenant":%d,"work_s":0.02,"deadline_s":1}`, i)
+	}
+	lineOf := map[uint64]lineResult{} // by trace id, seq+1
+	admitted := 0
+	for _, lr := range ingestBody(t, ts.URL, lines) {
+		if lr.Outcome != outcomeServed && lr.Outcome != outcomeRejected {
+			t.Fatalf("line %d answered %q, want an edge verdict", lr.Index, lr.Outcome)
+		}
+		lineOf[lr.Seq+1] = lr
+		if pol.Keep(stageIngestEdge, lr.Seq+1) {
+			admitted++
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, err := metrics.ParsePrometheus(strings.NewReader(readBody(t, resp)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := prom[`df3_flight_spans_kept_total{src="ingest"}`]
+	out := prom[`df3_flight_spans_sampled_out_total{src="ingest"}`]
+	if kept+out != n || out == 0 || kept == 0 {
+		t.Fatalf("ingest ring kept %v and sampled out %v of %d lines", kept, out, n)
+	}
+
+	resp, err = http.Get(ts.URL + "/v1/traces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans []obs.FlightSpan
+	sc := bufio.NewScanner(strings.NewReader(readBody(t, resp)))
+	for sc.Scan() {
+		var sp obs.FlightSpan
+		if err := json.Unmarshal(sc.Bytes(), &sp); err != nil {
+			t.Fatalf("%v: %s", err, sc.Text())
+		}
+		if sp.Src == "ingest" {
+			spans = append(spans, sp)
+		}
+	}
+
+	// The WAL holds each line's arrival time; stop the driver before
+	// reading it.
+	if err := l.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	at := map[uint64]float64{} // by trace id
+	for _, rec := range ParseArrivalLog(logBuf.Bytes()).Records {
+		if rec.Kind == "edge" {
+			at[rec.Seq+1] = rec.At
+		}
+	}
+	if len(spans) != int(kept) || admitted != len(spans) {
+		t.Fatalf("%d ingest spans streamed, ring kept %v, policy admits %d lines", len(spans), kept, admitted)
+	}
+	ids := map[trace.SpanID]bool{}
+	for _, sp := range spans {
+		lr, ok := lineOf[sp.Trace]
+		begin, logged := at[sp.Trace]
+		switch {
+		case !ok || sp.ID != trace.SpanID(sp.Trace) || ids[sp.ID]:
+			t.Fatalf("span %+v: want a unique id equal to a line's trace id seq+1", sp)
+		case !pol.Keep(sp.Stage, sp.Trace) || sp.Stage != stageIngestEdge:
+			t.Fatalf("span %+v: want stage %q, kept by the policy", sp, stageIngestEdge)
+		case !logged || sp.Begin != begin || sp.End != begin+lr.SimLatS || sp.Detail != lr.Outcome:
+			t.Fatalf("span %+v, want [%v, %v] with detail %q", sp, begin, begin+lr.SimLatS, lr.Outcome)
+		}
+		ids[sp.ID] = true
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-
-	"df3/internal/rng"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -243,54 +241,6 @@ func TestCounter(t *testing.T) {
 	if Rate(1, 0) != 0 {
 		t.Error("rate with zero total should be 0")
 	}
-}
-
-func TestReservoirSmallStream(t *testing.T) {
-	r := NewReservoir(100, rng.New(1))
-	for i := 1; i <= 50; i++ {
-		r.Observe(float64(i))
-	}
-	if r.Retained() != 50 {
-		t.Errorf("retained = %d", r.Retained())
-	}
-	if got := r.Quantile(1); got != 50 {
-		t.Errorf("max quantile = %v", got)
-	}
-}
-
-func TestReservoirBounded(t *testing.T) {
-	r := NewReservoir(64, rng.New(2))
-	for i := 0; i < 100000; i++ {
-		r.Observe(float64(i))
-	}
-	if r.Retained() != 64 {
-		t.Errorf("retained = %d, want 64", r.Retained())
-	}
-	if r.Count() != 100000 {
-		t.Errorf("count = %d", r.Count())
-	}
-}
-
-func TestReservoirQuantileAccuracy(t *testing.T) {
-	// Uniform stream: the reservoir median should approximate the true
-	// median within a generous tolerance.
-	r := NewReservoir(2000, rng.New(3))
-	for i := 0; i < 200000; i++ {
-		r.Observe(float64(i % 1000))
-	}
-	med := r.Quantile(0.5)
-	if med < 350 || med > 650 {
-		t.Errorf("reservoir median = %v, want ~500", med)
-	}
-}
-
-func TestReservoirPanicsOnZeroCap(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic for zero capacity")
-		}
-	}()
-	NewReservoir(0, rng.New(1))
 }
 
 // Property: a sample's quantile sweep reproduces the sorted data.

@@ -5,8 +5,8 @@
 // Everything here is designed for the single-threaded simulator: no locks,
 // no wall-clock. Quantiles are exact (sorting a retained sample) because the
 // experiments are small enough that fidelity beats the memory savings of a
-// sketch; Reservoir provides bounded-memory sampling for the rare metric
-// with millions of observations.
+// sketch; P2 estimates a quantile in O(1) memory for the rare metric with
+// millions of observations.
 package metrics
 
 import (

@@ -13,10 +13,11 @@ import (
 
 // Flight is the always-on flight recorder: a set of bounded rings, one
 // per span source (one per city recorder, one for live ingest), each fed
-// by a trace.Recorder sink hook. The hot path — a span completing on a
-// shard worker — takes one sampling hash and one uncontended mutex; shard
-// workers never share a ring, so they never contend with each other, only
-// with an in-flight scrape of the same source. Readers (the /v1/traces
+// completed spans through the sink Hook returns. Its Policy makes the one
+// sampling decision for every source. The hot path — a span completing
+// on a shard worker — takes one sampling hash and one mutex; a city's
+// ring is written only by the worker that runs the city, so it contends
+// only with an in-flight scrape of the same source. Readers (the /v1/traces
 // handler, df3top's summary) snapshot the rings without touching the
 // driver: streaming recent telemetry never stops the simulation, and
 // keeps working while a recovering daemon 503s its Sync-using handlers.
@@ -58,8 +59,12 @@ func NewFlight(capacity int, policy Policy) *Flight {
 	return &Flight{capacity: capacity, policy: policy}
 }
 
-// Hook registers a new span source and returns the sink to install with
-// trace.Recorder.SetSink. Each source gets its own ring and label.
+// Hook registers a new span source and returns its sink: install it with
+// trace.Recorder.SetSink, or call it with each completed span (the live
+// ingest plane files one span per settled line). Each source gets its own
+// ring and label. The sink is safe to call from any goroutine: it writes
+// the ring under the ring's mutex and counts sampled-out spans in an
+// atomic.
 func (f *Flight) Hook(label string) func(trace.Span) {
 	s := &flightRing{label: label, buf: make([]trace.Span, 0, f.capacity)}
 	f.mu.Lock()

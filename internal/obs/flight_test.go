@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"df3/internal/metrics"
+	"df3/internal/sim"
 	"df3/internal/trace"
 )
 
@@ -83,27 +84,9 @@ func TestFlightSamplingDeterministicAndCounted(t *testing.T) {
 	}
 }
 
-func TestFlightPerClassPolicy(t *testing.T) {
-	f := NewFlight(1024, Policy{Default: 1, Class: map[string]int{"noise": -1}})
-	rec := trace.NewRecorder(0)
-	f.Attach("src", rec)
-	for i := 0; i < 50; i++ {
-		span(rec, float64(i), "keepme", uint64(i+1))
-		span(rec, float64(i), "noise", uint64(i+1))
-	}
-	for _, sp := range f.Snapshot() {
-		if sp.Stage == "noise" {
-			t.Fatalf("noise span retained despite drop rate: %+v", sp)
-		}
-	}
-	st := f.Stats()[0]
-	if st.Kept != 50 || st.SampledOut != 50 {
-		t.Errorf("stats = %+v, want kept 50 sampled_out 50", st)
-	}
-}
-
 // TestFlightConcurrentScrape exercises the lock structure under -race:
-// several sources record while readers snapshot, summarize and scrape.
+// several sources record, two writers share one source (as shard workers
+// share the ingest ring), while readers snapshot, summarize and scrape.
 func TestFlightConcurrentScrape(t *testing.T) {
 	f := NewFlight(64, Policy{})
 	reg := metrics.NewRegistry()
@@ -115,7 +98,7 @@ func TestFlightConcurrentScrape(t *testing.T) {
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	for i, hook := range hooks {
+	for i, hook := range append(hooks, hooks[0]) {
 		wg.Add(1)
 		go func(i int, hook func(trace.Span)) {
 			defer wg.Done()
@@ -150,6 +133,9 @@ func TestFlightConcurrentScrape(t *testing.T) {
 
 	if got := len(f.Snapshot()); got != 4*64 {
 		t.Errorf("retained %d spans, want %d", got, 4*64)
+	}
+	if st := f.Stats()[0]; st.Kept != 2*5000 || st.Evicted != 2*5000-64 {
+		t.Errorf("shared source stats %+v, want kept %d", st, 2*5000)
 	}
 }
 
@@ -231,4 +217,46 @@ func TestFlightRegisterExportsCounters(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// TestFlightSpanPathNoAlloc: a kept span filed straight into a full
+// Flight ring, as the live ingest plane files one per settled line,
+// allocates nothing.
+func TestFlightSpanPathNoAlloc(t *testing.T) {
+	f := NewFlight(64, Policy{})
+	file := f.Hook("ingest")
+	i := uint64(0)
+	line := func() {
+		i++
+		at := sim.Time(i)
+		file(trace.Span{ID: trace.SpanID(i), Trace: i, Stage: "ingest:edge",
+			Begin: at, End: at + 0.01, Detail: "served"})
+	}
+	for k := 0; k < 128; k++ {
+		line()
+	}
+	if allocs := testing.AllocsPerRun(1000, line); allocs != 0 {
+		t.Errorf("kept span into a Flight ring allocates %v per op, want 0", allocs)
+	}
+	if st := f.Stats()[0]; st.Kept != i || st.Evicted != i-64 || st.SampledOut != 0 {
+		t.Fatalf("ring stats %+v after %d spans into 64 slots", st, i)
+	}
+}
+
+// BenchmarkSpan is one ingest line's span filed into its Flight ring as
+// the line settles: sampled out by the policy, and kept at df3d's default
+// 4096 spans per source.
+func BenchmarkSpan(b *testing.B) {
+	run := func(b *testing.B, pol Policy) {
+		file := NewFlight(4096, pol).Hook("ingest")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := uint64(i) + 1
+			file(trace.Span{ID: trace.SpanID(k), Trace: k, Stage: "ingest:edge",
+				Begin: sim.Time(i), End: sim.Time(i) + 0.01, Detail: "served"})
+		}
+	}
+	b.Run("sampled-out", func(b *testing.B) { run(b, Policy{Default: -1}) })
+	b.Run("flight", func(b *testing.B) { run(b, Policy{}) })
 }

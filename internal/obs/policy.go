@@ -1,8 +1,8 @@
 // Package obs is the live observability plane: an always-on flight
 // recorder holding the most recent completed spans at bounded memory
-// (flight.go), deterministic head-sampling policies (this file), a
-// sampling span facade for live ingest (sampled.go), and a bridge from
-// the Go runtime's own metrics into the df3 registry (runtime.go).
+// (flight.go), the deterministic head-sampling policy that decides which
+// of them it keeps (this file), and a bridge from the Go runtime's own
+// metrics into the df3 registry (runtime.go).
 //
 // Everything here is pure observation. Sampling decisions are hash-based
 // — no RNG stream is consumed, no wall clock is read — so a simulation
@@ -10,69 +10,36 @@
 // (checksum-asserted in city tests).
 package obs
 
-// Policy decides which spans the flight recorder retains and which live
-// ingest requests get a trace at all. Rates are "keep 1 in N": 1 keeps
-// everything, 100 keeps one in a hundred, a negative rate drops the class
-// outright. A zero rate means "no opinion" and defers to the next tier.
-// Lookup order: Tenant override (when a tenant is known), then Class,
-// then Default; an all-zero Policy keeps everything.
+// Policy decides which completed spans the flight recorder retains, for
+// every span source alike. The rate is "keep 1 in N": 1 keeps everything,
+// 100 keeps one in a hundred, a negative rate keeps nothing; the zero
+// Policy keeps everything.
 //
-// Decisions are deterministic functions of (class, tenant, key): the same
-// request sampled twice — live and on replay, or at root and at child —
-// resolves identically. That is what lets sampling live outside the
-// determinism boundary: it steers only what is observed, never what runs.
+// Decisions are deterministic functions of (class, key): the same request
+// sampled twice — live and on replay — resolves identically. That is what
+// lets sampling live outside the determinism boundary: it steers only
+// what is observed, never what runs.
 type Policy struct {
-	// Default is the base keep-1-in-N rate.
+	// Default is the keep-1-in-N rate.
 	Default int
-	// Class maps a span stage / ingest class to its own rate.
-	Class map[string]int
-	// Tenant overrides by tenant id — e.g. keep every span of a tenant
-	// under investigation while the fleet samples 1-in-1000.
-	Tenant map[uint64]int
 }
 
-// rate resolves the keep-1-in-N rate for a class, honouring a tenant
-// override when one applies.
-func (p Policy) rate(class string, tenant uint64, haveTenant bool) int {
-	if haveTenant {
-		if r, ok := p.Tenant[tenant]; ok && r != 0 {
-			return r
-		}
-	}
-	if r, ok := p.Class[class]; ok && r != 0 {
-		return r
-	}
-	if p.Default != 0 {
-		return p.Default
-	}
-	return 1
-}
-
-// Keep reports whether a span of the given class with correlation key
-// (normally the trace id) is retained. A zero key hashes the class name
-// instead, so uncorrelated spans (machine windows) still sample at the
-// configured rate class-by-class rather than all-or-nothing globally.
+// Keep reports whether a span of the given class (its stage) with
+// correlation key (normally the trace id) is retained. A zero key hashes
+// the class name instead, so uncorrelated spans (machine windows) still
+// sample at the configured rate class-by-class rather than all-or-nothing
+// globally.
 func (p Policy) Keep(class string, key uint64) bool {
-	return keepAt(p.rate(class, 0, false), class, key)
-}
-
-// KeepTenant is Keep with a tenant override consulted first — the live
-// ingest path, where the arrival names its tenant.
-func (p Policy) KeepTenant(class string, tenant, key uint64) bool {
-	return keepAt(p.rate(class, tenant, true), class, key)
-}
-
-func keepAt(rate int, class string, key uint64) bool {
 	switch {
-	case rate < 0:
+	case p.Default < 0:
 		return false
-	case rate <= 1:
+	case p.Default <= 1:
 		return true
 	}
 	if key == 0 {
 		key = hashString(class)
 	}
-	return mix(key)%uint64(rate) == 0
+	return mix(key)%uint64(p.Default) == 0
 }
 
 // hashString is FNV-1a over the class name.
@@ -86,8 +53,8 @@ func hashString(s string) uint64 {
 }
 
 // mix is the SplitMix64 finalizer: sequential keys (injection sequence
-// numbers, tenant ids) land uniformly across residues, so "1 in N" keeps
-// close to 1/N of a sequential id space instead of a single stripe.
+// numbers) land uniformly across residues, so "1 in N" keeps close to 1/N
+// of a sequential id space instead of a single stripe.
 func mix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

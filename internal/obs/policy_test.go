@@ -2,31 +2,6 @@ package obs
 
 import "testing"
 
-func TestPolicyTiers(t *testing.T) {
-	p := Policy{
-		Default: -1, // drop unless overridden
-		Class:   map[string]int{"edge": 1, "dcc": -1},
-		Tenant:  map[uint64]int{7: 1},
-	}
-	cases := []struct {
-		class  string
-		tenant uint64
-		key    uint64
-		want   bool
-	}{
-		{"edge", 1, 10, true},   // class rate 1 keeps all
-		{"dcc", 1, 10, false},   // class rate -1 drops all
-		{"dcc", 7, 10, true},    // tenant override wins over class
-		{"other", 1, 10, false}, // default -1 drops
-		{"other", 7, 10, true},  // tenant override wins over default
-	}
-	for _, c := range cases {
-		if got := p.KeepTenant(c.class, c.tenant, c.key); got != c.want {
-			t.Errorf("KeepTenant(%q, %d, %d) = %v, want %v", c.class, c.tenant, c.key, got, c.want)
-		}
-	}
-}
-
 func TestPolicyZeroValueKeepsAll(t *testing.T) {
 	var p Policy
 	for key := uint64(0); key < 100; key++ {

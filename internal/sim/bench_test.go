@@ -32,7 +32,7 @@ func BenchmarkEventChurn(b *testing.B) {
 func BenchmarkTicker(b *testing.B) {
 	e := New()
 	n := 0
-	Every(e, 1, func(Time) { n++ })
+	e.Domain(1).Subscribe(func(Time) { n++ })
 	b.ResetTimer()
 	e.Run(Time(b.N))
 	if n == 0 && b.N > 1 {
@@ -49,7 +49,7 @@ func BenchmarkManyTickersSamePeriod(b *testing.B) {
 	e := New()
 	n := 0
 	for i := 0; i < rooms; i++ {
-		Every(e, 60, func(Time) { n++ })
+		e.Domain(60).Subscribe(func(Time) { n++ })
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,13 +1,13 @@
 package sim
 
 // A TickDomain batches every periodic callback of one period behind a
-// single heap event: where N Tickers used to cost N heap pushes and pops
-// per period, a domain costs one, so a city's control plane is O(1) heap
-// operations per tick instead of O(rooms). Subscribers fire in
-// registration order — the same deterministic order N individual Tickers
-// registered at the same instant would fire in — and the domain re-arms
-// from the *scheduled* fire time, never from the clock after callbacks, so
-// the grid cannot drift.
+// single heap event: where N individually re-armed tickers cost N heap
+// pushes and pops per period, a domain costs one, so a city's control
+// plane is O(1) heap operations per tick instead of O(rooms). Subscribers
+// fire in registration order — the same deterministic order N individual
+// tickers registered at the same instant would fire in — and the domain
+// re-arms from the *scheduled* fire time, never from the clock after
+// callbacks, so the grid cannot drift.
 //
 // A domain's event and re-arm closure are allocated once and reused in
 // place, and the subscriber slice keeps its backing storage across
@@ -21,7 +21,7 @@ type TickDomain struct {
 	nDead  int
 	firing bool
 	// active is false once the last subscriber stops; Subscribe re-arms a
-	// dormant domain on a fresh grid, exactly as a fresh Ticker would.
+	// dormant domain on a fresh grid, exactly as a fresh ticker would.
 	active bool
 }
 
@@ -39,7 +39,7 @@ type Sub struct {
 // Domain returns the tick domain of the given period whose next fire is
 // now+period, creating it if needed. Two callers share a domain exactly
 // when their first fires would coincide, so grids started mid-run keep the
-// phase an individual Ticker would have had.
+// phase an individual ticker would have had.
 func (e *Engine) Domain(period Time) *TickDomain {
 	if period <= 0 {
 		panic("sim: tick domain with non-positive period")
@@ -97,7 +97,7 @@ func (s *Sub) Stop() {
 
 // fire runs one domain tick: re-arm first (from the scheduled time, with a
 // fresh sequence number, so relative ordering against other periodic work
-// matches what re-arming Tickers produced), then fire the subscribers that
+// matches what re-arming tickers produced), then fire the subscribers that
 // existed at tick start, then compact out stopped entries.
 func (d *TickDomain) fire() {
 	e := d.engine
@@ -141,7 +141,7 @@ func (d *TickDomain) compact() {
 
 // deactivate cancels the domain's event and unregisters it. A later
 // Domain() call of the same period starts a fresh grid from its own time,
-// just as a fresh Ticker would.
+// just as a fresh ticker would.
 func (d *TickDomain) deactivate() {
 	e := d.engine
 	if d.ev.index >= 0 {

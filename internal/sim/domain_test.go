@@ -209,7 +209,7 @@ func TestTickerNoPhaseDrift(t *testing.T) {
 	period := Time(0.1)
 	var last Time
 	ticks := 0
-	Every(e, period, func(now Time) { last = now; ticks++ })
+	e.Domain(period).Subscribe(func(now Time) { last = now; ticks++ })
 	e.Run(1000)
 	// Compare against the same accumulation the domain performs: the grid
 	// is defined by repeated addition from the start, never by Now() after

@@ -18,15 +18,15 @@ func ExampleEngine() {
 	// second at 2 h
 }
 
-// ExampleEvery shows a periodic process stopping itself.
-func ExampleEvery() {
+// ExampleEngine_Domain shows a periodic process stopping itself.
+func ExampleEngine_Domain() {
 	e := sim.New()
 	n := 0
-	var tk *sim.Ticker
-	tk = sim.Every(e, sim.Minute, func(now sim.Time) {
+	var sub *sim.Sub
+	sub = e.Domain(sim.Minute).Subscribe(func(now sim.Time) {
 		n++
 		if n == 3 {
-			tk.Stop()
+			sub.Stop()
 		}
 	})
 	e.Run(sim.Hour)

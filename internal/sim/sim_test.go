@@ -231,7 +231,7 @@ func TestCancelConservationProperty(t *testing.T) {
 func TestTickerFiresPeriodically(t *testing.T) {
 	e := New()
 	var times []Time
-	Every(e, 10, func(now Time) { times = append(times, now) })
+	e.Domain(10).Subscribe(func(now Time) { times = append(times, now) })
 	e.Run(55)
 	want := []Time{10, 20, 30, 40, 50}
 	if len(times) != len(want) {
@@ -247,8 +247,8 @@ func TestTickerFiresPeriodically(t *testing.T) {
 func TestTickerStop(t *testing.T) {
 	e := New()
 	count := 0
-	var tk *Ticker
-	tk = Every(e, 1, func(now Time) {
+	var tk *Sub
+	tk = e.Domain(1).Subscribe(func(now Time) {
 		count++
 		if count == 5 {
 			tk.Stop()
@@ -267,7 +267,7 @@ func TestTickerZeroPeriodPanics(t *testing.T) {
 			t.Error("zero-period ticker did not panic")
 		}
 	}()
-	Every(New(), 0, func(Time) {})
+	New().Domain(0)
 }
 
 func TestCalendarMonths(t *testing.T) {

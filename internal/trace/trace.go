@@ -1,15 +1,12 @@
-// Package trace records simulation events to CSV or JSON lines for offline
-// analysis and supports replaying recorded request traces, so that an
-// experiment's exact workload can be re-run against a different platform
-// configuration (the A/B methodology behind E4/E5/E12).
+// Package trace records simulation events to CSV and causal spans to JSON
+// lines for offline analysis (df3trace summarises both), and exports spans
+// as Chrome trace-event JSON for Perfetto.
 package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
 	"df3/internal/sim"
@@ -145,40 +142,4 @@ func ReadCSV(r io.Reader) ([]Event, error) {
 		out = append(out, Event{T: t, Kind: row[1], ID: id, Value: v, Detail: row[4]})
 	}
 	return out, nil
-}
-
-// WriteJSONL emits events as JSON lines.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, e := range r.Events() {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadJSONL parses JSON-lines events.
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	dec := json.NewDecoder(r)
-	var out []Event
-	for dec.More() {
-		var e Event
-		if err := dec.Decode(&e); err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
-
-// Replay schedules each event's callback at its recorded time on the
-// engine. Events are replayed in time order regardless of record order.
-func Replay(e *sim.Engine, events []Event, fn func(ev Event)) {
-	sorted := append([]Event(nil), events...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].T < sorted[j].T })
-	for _, ev := range sorted {
-		ev := ev
-		e.AtTransient(ev.T, func() { fn(ev) })
-	}
 }

@@ -36,26 +36,6 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
-func TestJSONLRoundTrip(t *testing.T) {
-	r := sample()
-	var b strings.Builder
-	if err := r.WriteJSONL(&b); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSONL(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != r.Len() {
-		t.Fatalf("round trip lost events")
-	}
-	for i, e := range got {
-		if e != r.Events()[i] {
-			t.Errorf("event %d mismatch", i)
-		}
-	}
-}
-
 func TestReadCSVErrors(t *testing.T) {
 	if _, err := ReadCSV(strings.NewReader("")); err == nil {
 		t.Error("empty CSV accepted")
@@ -73,29 +53,6 @@ func TestFilter(t *testing.T) {
 	}
 	if got := r.Filter("absent"); got != nil {
 		t.Errorf("filter on absent kind returned %v", got)
-	}
-}
-
-func TestReplayOrdersByTime(t *testing.T) {
-	events := []Event{
-		{T: 5, Kind: "a", ID: 1},
-		{T: 1, Kind: "b", ID: 2},
-		{T: 3, Kind: "c", ID: 3},
-	}
-	e := sim.New()
-	var order []uint64
-	Replay(e, events, func(ev Event) {
-		if e.Now() != ev.T {
-			t.Errorf("event %d replayed at %v, recorded %v", ev.ID, e.Now(), ev.T)
-		}
-		order = append(order, ev.ID)
-	})
-	e.Run(10)
-	want := []uint64{2, 3, 1}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("replay order = %v", order)
-		}
 	}
 }
 
