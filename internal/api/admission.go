@@ -37,14 +37,28 @@ const (
 	ClassDCC  = "dcc"
 )
 
+// lineClass indexes the admission classes, so the per-line paths (admit,
+// release, settle) index arrays instead of string-keyed maps; a line's
+// class is resolved once, when it is read.
+type lineClass uint8
+
+const (
+	lineEdge lineClass = iota
+	lineDCC
+	numLineClasses
+)
+
+// classNames are the classes' label values.
+var classNames = [numLineClasses]string{ClassEdge, ClassDCC}
+
 // admission is the per-class in-flight ledger. Admit/Release run on handler
 // goroutines and the driver goroutine; one small mutex serialises them —
 // the critical section is two integer ops, so contention at 10k req/s is
 // noise next to the HTTP stack.
 type admission struct {
 	mu       sync.Mutex
-	limits   map[string]int
-	inflight map[string]int
+	limits   [numLineClasses]int
+	inflight [numLineClasses]int
 	queueCap int
 	queueLen func() int
 }
@@ -52,11 +66,7 @@ type admission struct {
 func newAdmission(cfg AdmissionConfig, queueLen func() int) *admission {
 	cfg = cfg.withDefaults()
 	return &admission{
-		limits: map[string]int{
-			ClassEdge: cfg.MaxInFlightEdge,
-			ClassDCC:  cfg.MaxInFlightDCC,
-		},
-		inflight: map[string]int{},
+		limits:   [numLineClasses]int{lineEdge: cfg.MaxInFlightEdge, lineDCC: cfg.MaxInFlightDCC},
 		queueCap: cfg.MaxQueue,
 		queueLen: queueLen,
 	}
@@ -64,7 +74,7 @@ func newAdmission(cfg AdmissionConfig, queueLen func() int) *admission {
 
 // Admit reserves an in-flight slot for class, or reports shed=false when
 // the class is at its limit or the injection queue is full.
-func (a *admission) Admit(class string) bool {
+func (a *admission) Admit(class lineClass) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.inflight[class] >= a.limits[class] {
@@ -78,7 +88,7 @@ func (a *admission) Admit(class string) bool {
 }
 
 // Release returns an admitted slot.
-func (a *admission) Release(class string) {
+func (a *admission) Release(class lineClass) {
 	a.mu.Lock()
 	if a.inflight[class] > 0 {
 		a.inflight[class]--
@@ -87,7 +97,7 @@ func (a *admission) Release(class string) {
 }
 
 // InFlight returns the current admitted count for class.
-func (a *admission) InFlight(class string) int {
+func (a *admission) InFlight(class lineClass) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.inflight[class]

@@ -11,24 +11,24 @@ import (
 func TestAdmissionExactLimit(t *testing.T) {
 	a := newAdmission(AdmissionConfig{MaxInFlightEdge: 3, MaxInFlightDCC: 1}, nil)
 	for i := 0; i < 3; i++ {
-		if !a.Admit(ClassEdge) {
+		if !a.Admit(lineEdge) {
 			t.Fatalf("edge admit %d refused below the limit", i)
 		}
 	}
-	if a.Admit(ClassEdge) {
+	if a.Admit(lineEdge) {
 		t.Fatal("edge admit at the limit accepted")
 	}
-	if !a.Admit(ClassDCC) {
+	if !a.Admit(lineDCC) {
 		t.Fatal("dcc refused while edge is full: classes not independent")
 	}
-	if a.Admit(ClassDCC) {
+	if a.Admit(lineDCC) {
 		t.Fatal("dcc admitted past its own limit")
 	}
-	a.Release(ClassEdge)
-	if got := a.InFlight(ClassEdge); got != 2 {
+	a.Release(lineEdge)
+	if got := a.InFlight(lineEdge); got != 2 {
 		t.Fatalf("inflight %d after release, want 2", got)
 	}
-	if !a.Admit(ClassEdge) {
+	if !a.Admit(lineEdge) {
 		t.Fatal("edge refused after a slot freed")
 	}
 }
@@ -45,17 +45,17 @@ func TestAdmissionQueueCap(t *testing.T) {
 		{7, true}, {8, false}, {9, false}, {0, true},
 	} {
 		depth = tc.depth
-		if got := a.Admit(ClassEdge); got != tc.want {
+		if got := a.Admit(lineEdge); got != tc.want {
 			t.Fatalf("depth %d: admit = %v, want %v", tc.depth, got, tc.want)
 		}
-		if got := a.Admit(ClassDCC); got != tc.want {
+		if got := a.Admit(lineDCC); got != tc.want {
 			t.Fatalf("depth %d: dcc admit = %v, want %v", tc.depth, got, tc.want)
 		}
-		for a.InFlight(ClassEdge) > 0 {
-			a.Release(ClassEdge)
+		for a.InFlight(lineEdge) > 0 {
+			a.Release(lineEdge)
 		}
-		for a.InFlight(ClassDCC) > 0 {
-			a.Release(ClassDCC)
+		for a.InFlight(lineDCC) > 0 {
+			a.Release(lineDCC)
 		}
 	}
 }
@@ -64,14 +64,14 @@ func TestAdmissionQueueCap(t *testing.T) {
 // negative and open phantom capacity.
 func TestAdmissionReleaseFloor(t *testing.T) {
 	a := newAdmission(AdmissionConfig{MaxInFlightEdge: 1}, nil)
-	a.Release(ClassEdge)
-	if got := a.InFlight(ClassEdge); got != 0 {
+	a.Release(lineEdge)
+	if got := a.InFlight(lineEdge); got != 0 {
 		t.Fatalf("inflight %d after spurious release, want 0", got)
 	}
-	if !a.Admit(ClassEdge) {
+	if !a.Admit(lineEdge) {
 		t.Fatal("admit refused at zero in-flight")
 	}
-	if a.Admit(ClassEdge) {
+	if a.Admit(lineEdge) {
 		t.Fatal("limit 1 admitted twice")
 	}
 }
@@ -88,17 +88,17 @@ func TestAdmissionConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				if a.Admit(ClassEdge) {
-					if got := a.InFlight(ClassEdge); got > limit {
+				if a.Admit(lineEdge) {
+					if got := a.InFlight(lineEdge); got > limit {
 						t.Errorf("inflight %d exceeds limit %d", got, limit)
 					}
-					a.Release(ClassEdge)
+					a.Release(lineEdge)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if got := a.InFlight(ClassEdge); got != 0 {
+	if got := a.InFlight(lineEdge); got != 0 {
 		t.Fatalf("ledger did not drain: %d in flight", got)
 	}
 }

@@ -123,10 +123,8 @@ type Live struct {
 	recoverMu  sync.Mutex
 	recoverErr error
 
-	// requests[class][outcome] counts every ingest verdict.
-	requests   map[string]map[string]*metrics.SharedCounter
-	wallHist   map[string]*metrics.Histogram
-	simHist    map[string]*metrics.Histogram
+	// series holds each admission class's ingest series.
+	series     [numLineClasses]classSeries
 	ckptWrites *metrics.SharedCounter
 	ckptErrors *metrics.SharedCounter
 
@@ -144,6 +142,14 @@ type Live struct {
 	lastCkptSimMicros atomic.Int64  // sim µs of the last durable checkpoint
 }
 
+// classSeries is one admission class's ingest series.
+type classSeries struct {
+	// requests[v] counts the class's lines with verdict v; nil for the
+	// verdicts the class never has.
+	requests  [numVerdicts]*metrics.SharedCounter
+	wall, sim *metrics.Histogram
+}
+
 // Ingest verdicts (the outcome label of df3_ingest_requests_total).
 const (
 	outcomeServed   = "served"   // edge request completed
@@ -155,8 +161,27 @@ const (
 	outcomeClosed   = "closed"   // ingest plane shutting down (503)
 )
 
-var edgeOutcomes = []string{outcomeServed, outcomeRejected, outcomeShed, outcomeTimeout, outcomeClosed}
-var dccOutcomes = []string{outcomeDone, outcomeLost, outcomeShed, outcomeTimeout, outcomeClosed}
+// verdict indexes the ingest verdicts; outcomes[v] is its label.
+type verdict uint8
+
+const (
+	verdictServed verdict = iota
+	verdictRejected
+	verdictDone
+	verdictLost
+	verdictShed
+	verdictTimeout
+	verdictClosed
+	numVerdicts
+)
+
+var outcomes = [numVerdicts]string{outcomeServed, outcomeRejected, outcomeDone, outcomeLost, outcomeShed, outcomeTimeout, outcomeClosed}
+
+// classVerdicts lists each class's verdicts in registration order.
+var classVerdicts = [numLineClasses][]verdict{
+	lineEdge: {verdictServed, verdictRejected, verdictShed, verdictTimeout, verdictClosed},
+	lineDCC:  {verdictDone, verdictLost, verdictShed, verdictTimeout, verdictClosed},
+}
 
 // NewLive wires a live session around a built federation. The federation
 // must not be running; NewLive installs the paced driver and switches the
@@ -230,29 +255,23 @@ func NewLive(f *city.Federation, cfg LiveConfig) *Live {
 func (l *Live) registerMetrics() {
 	r := l.fed.Observability()
 	l.reg = r
-	l.requests = map[string]map[string]*metrics.SharedCounter{ClassEdge: {}, ClassDCC: {}}
-	for _, o := range edgeOutcomes {
-		l.requests[ClassEdge][o] = r.Counter("df3_ingest_requests_total",
-			"live ingest requests by class and outcome",
-			metrics.Labels{"class": ClassEdge, "outcome": o})
+	for c, name := range classNames {
+		for _, v := range classVerdicts[c] {
+			l.series[c].requests[v] = r.Counter("df3_ingest_requests_total",
+				"live ingest requests by class and outcome",
+				metrics.Labels{"class": name, "outcome": outcomes[v]})
+		}
 	}
-	for _, o := range dccOutcomes {
-		l.requests[ClassDCC][o] = r.Counter("df3_ingest_requests_total",
-			"live ingest requests by class and outcome",
-			metrics.Labels{"class": ClassDCC, "outcome": o})
-	}
-	l.wallHist = map[string]*metrics.Histogram{}
-	l.simHist = map[string]*metrics.Histogram{}
-	for _, class := range []string{ClassEdge, ClassDCC} {
-		class := class
-		l.wallHist[class] = r.Histogram("df3_ingest_wall_seconds",
+	for c, name := range classNames {
+		class := lineClass(c)
+		l.series[c].wall = r.Histogram("df3_ingest_wall_seconds",
 			"wall-clock latency from ingest to settled outcome",
-			metrics.Labels{"class": class}, 0.5, 0.9, 0.99)
-		l.simHist[class] = r.Histogram("df3_ingest_sim_seconds",
+			metrics.Labels{"class": name}, 0.5, 0.9, 0.99)
+		l.series[c].sim = r.Histogram("df3_ingest_sim_seconds",
 			"simulated latency of settled requests",
-			metrics.Labels{"class": class}, 0.5, 0.9, 0.99)
+			metrics.Labels{"class": name}, 0.5, 0.9, 0.99)
 		r.GaugeFunc("df3_ingest_inflight", "admitted requests awaiting their outcome",
-			metrics.Labels{"class": class},
+			metrics.Labels{"class": name},
 			func() float64 { return float64(l.adm.InFlight(class)) })
 	}
 	r.GaugeFunc("df3_ingest_queue_depth", "injections accepted but not yet drained",
@@ -538,7 +557,7 @@ type ingestBatch struct {
 // result on the way out.
 type ingestLine struct {
 	b     *ingestBatch
-	class string
+	class lineClass
 	start time.Time // admission instant, the zero of WallMs
 	// rec is the arrival; apply fills its Seq and At (the arrival's sim
 	// time) before the outcome callback can run.
@@ -564,14 +583,14 @@ func (b *ingestBatch) fail(msg string) {
 // closed verdict at once.
 func (b *ingestBatch) add(rec ArrivalRecord) {
 	l := b.live
-	ln := &ingestLine{b: b, class: ClassEdge, rec: rec}
+	ln := &ingestLine{b: b, class: lineEdge, rec: rec}
 	if rec.Kind == "dcc" {
-		ln.class = ClassDCC
+		ln.class = lineDCC
 	}
 	ln.res.Index = len(b.lines)
 	b.lines = append(b.lines, ln)
 	if !l.adm.Admit(ln.class) {
-		l.requests[ln.class][outcomeShed].Inc()
+		l.series[ln.class].requests[verdictShed].Inc()
 		ln.res.Outcome = outcomeShed
 		return
 	}
@@ -579,7 +598,7 @@ func (b *ingestBatch) add(rec ArrivalRecord) {
 	seq, ok := l.queue.Inject(ln.apply)
 	if !ok {
 		l.adm.Release(ln.class)
-		l.requests[ln.class][outcomeClosed].Inc()
+		l.series[ln.class].requests[verdictClosed].Inc()
 		ln.res.Outcome = outcomeClosed
 		return
 	}
@@ -617,7 +636,7 @@ func (b *ingestBatch) wait() {
 		ln.res.Seq = ln.seq
 		if !ln.settled {
 			ln.res.Outcome = outcomeTimeout
-			l.requests[ln.class][outcomeTimeout].Inc()
+			l.series[ln.class].requests[verdictTimeout].Inc()
 		}
 	}
 }
@@ -631,7 +650,7 @@ func (ln *ingestLine) apply(seq uint64) {
 	if l.logw != nil {
 		l.logw.write(ln.rec)
 	}
-	if ln.class == ClassDCC {
+	if ln.class == lineDCC {
 		applyArrival(l.fed, ln.rec, nil, ln.settleDCC)
 	} else {
 		applyArrival(l.fed, ln.rec, ln.settleEdge, nil)
@@ -639,12 +658,11 @@ func (ln *ingestLine) apply(seq uint64) {
 }
 
 func (ln *ingestLine) settleEdge(o core.EdgeOutcome) {
-	verdict := outcomeServed
+	v := verdictServed
 	if !o.Served {
-		verdict = outcomeRejected
+		v = verdictRejected
 	}
-	ln.settle(ingestResult{
-		Outcome:   verdict,
+	ln.settle(v, ingestResult{
 		Escalated: o.Escalated,
 		Attempts:  o.Attempts,
 		SimLatS:   float64(o.SimLatency),
@@ -652,12 +670,11 @@ func (ln *ingestLine) settleEdge(o core.EdgeOutcome) {
 }
 
 func (ln *ingestLine) settleDCC(o core.DCCOutcome) {
-	verdict := outcomeDone
+	v := verdictDone
 	if !o.Done {
-		verdict = outcomeLost
+		v = verdictLost
 	}
-	ln.settle(ingestResult{
-		Outcome: verdict,
+	ln.settle(v, ingestResult{
 		Tasks:   o.Tasks,
 		SimLatS: float64(o.SimLatency),
 	}, o.SimLatency)
@@ -668,16 +685,19 @@ func (ln *ingestLine) settleDCC(o core.DCCOutcome) {
 // releases the admission slot first, so a waiting spike slot frees at
 // the simulated settle instant, counts the verdict and files the line's
 // span, which runs from the arrival to arrival + SimLatency. It files
-// the result only if the handler has not answered yet.
-func (ln *ingestLine) settle(res ingestResult, simLat sim.Time) {
+// the result, with verdict v as its outcome, only if the handler has not
+// answered yet.
+func (ln *ingestLine) settle(v verdict, res ingestResult, simLat sim.Time) {
 	b := ln.b
 	l := b.live
+	series := &l.series[ln.class]
+	res.Outcome = outcomes[v]
 	l.adm.Release(ln.class)
-	l.requests[ln.class][res.Outcome].Inc()
-	l.simHist[ln.class].Observe(float64(simLat))
+	series.requests[v].Inc()
+	series.sim.Observe(float64(simLat))
 	if l.fileSpan != nil {
 		stage := stageIngestEdge
-		if ln.class == ClassDCC {
+		if ln.class == lineDCC {
 			stage = stageIngestDCC
 		}
 		id := ln.rec.Seq + 1
@@ -696,7 +716,7 @@ func (ln *ingestLine) settle(res ingestResult, simLat sim.Time) {
 	b.settled++
 	last := b.settled == b.want
 	b.mu.Unlock()
-	l.wallHist[ln.class].Observe(wall.Seconds())
+	series.wall.Observe(wall.Seconds())
 	if last {
 		close(b.done)
 	}

@@ -181,7 +181,7 @@ func TestLiveAdmissionSheds(t *testing.T) {
 	if codes[http.StatusTooManyRequests] == 0 {
 		t.Fatalf("no 429s under spike: %v", codes)
 	}
-	if got := l.requests[ClassEdge][outcomeShed].Value(); got == 0 {
+	if got := l.series[lineEdge].requests[verdictShed].Value(); got == 0 {
 		t.Fatal("shed counter stayed zero")
 	}
 }
@@ -448,36 +448,36 @@ func TestIngestWaiterTimesOutUnsettledLines(t *testing.T) {
 		}
 	}
 	timedOut := func() int64 {
-		return l.requests[ClassEdge][outcomeTimeout].Value() + l.requests[ClassDCC][outcomeTimeout].Value()
+		return l.series[lineEdge].requests[verdictTimeout].Value() + l.series[lineDCC].requests[verdictTimeout].Value()
 	}
 	if got := timedOut(); got != timeouts || timeouts != 4 {
 		t.Fatalf("timeout counter %d, %d lines answered timeout, want 4", got, timeouts)
 	}
-	if n := l.adm.InFlight(ClassDCC); n != 4 {
+	if n := l.adm.InFlight(lineDCC); n != 4 {
 		t.Fatalf("%d batch jobs in flight after the answer, want 4", n)
 	}
 
 	// Let the driver catch up on three simulated hours.
 	clk.jump(3 * time.Hour / 10)
 	giveUp := time.After(20 * time.Second)
-	for l.adm.InFlight(ClassDCC)+l.adm.InFlight(ClassEdge) != 0 {
+	for l.adm.InFlight(lineDCC)+l.adm.InFlight(lineEdge) != 0 {
 		select {
 		case <-giveUp:
-			t.Fatalf("in flight stuck at %d edge, %d dcc", l.adm.InFlight(ClassEdge), l.adm.InFlight(ClassDCC))
+			t.Fatalf("in flight stuck at %d edge, %d dcc", l.adm.InFlight(lineEdge), l.adm.InFlight(lineDCC))
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
-	if late := l.requests[ClassDCC][outcomeDone].Value() + l.requests[ClassDCC][outcomeLost].Value(); late != 4 {
+	if late := l.series[lineDCC].requests[verdictDone].Value() + l.series[lineDCC].requests[verdictLost].Value(); late != 4 {
 		t.Fatalf("%d late batch verdicts counted, want 4", late)
 	}
 	if got := timedOut(); got != 4 {
 		t.Fatalf("timeout counter moved to %d after the late outcomes", got)
 	}
 	// Wall latency is filed only for lines answered in time.
-	if n := l.wallHist[ClassDCC].Count(); n != 0 {
+	if n := l.series[lineDCC].wall.Count(); n != 0 {
 		t.Fatalf("%d late batch jobs filed a wall latency into the answered request", n)
 	}
-	if n := l.wallHist[ClassEdge].Count(); n != 8 {
+	if n := l.series[lineEdge].wall.Count(); n != 8 {
 		t.Fatalf("%d edge wall latencies filed, want 8", n)
 	}
 	if err := l.Stop(); err != nil {

@@ -22,7 +22,7 @@ type rig struct {
 	op      network.NodeID   // operator node
 }
 
-func newRig(t *testing.T, cfg Config, nClusters, nWorkers int) *rig {
+func newRig(t testing.TB, cfg Config, nClusters, nWorkers int) *rig {
 	t.Helper()
 	e := sim.New()
 	net := network.NewFabric(e)

@@ -40,6 +40,11 @@ type Middleware struct {
 
 	nextReqID uint64
 	nextJobID uint64
+
+	// legs is the free list of edge-request continuations (see leg);
+	// legsMade counts the legs ever made.
+	legs     []*leg
+	legsMade int
 }
 
 // StatsOnly switches every latency and flow-time Sample the middleware
@@ -231,13 +236,15 @@ func (mw *Middleware) loseEdge(req *edgeReq) {
 // resubmit re-enters a request from its origin device toward its home
 // gateway — the client retransmit of the §III-B middleware story.
 func (mw *Middleware) resubmit(req *edgeReq) {
-	c := req.home
-	ok := mw.Net.SendTraced(req.origin, c.EdgeGW, req.input, req.span, func(sim.Time) {
-		mw.Engine.AfterTransient(mw.cfg.GatewayOverhead, func() { mw.decide(c, req) })
-	}, func() { mw.loseEdge(req) })
-	if !ok {
-		mw.waitOrReject(req)
-	}
+	mw.toGateway(req, req.origin, req.home)
+}
+
+// toGateway sends the request's input from `from` to c's edge gateway,
+// where it is decided after the gateway's processing delay.
+func (mw *Middleware) toGateway(req *edgeReq, from network.NodeID, c *Cluster) {
+	l := mw.newLeg(req)
+	l.c = c
+	l.send(legToGateway, from, c.EdgeGW, req.input)
 }
 
 // waitOrReject handles a request that cannot currently reach any service
@@ -373,12 +380,7 @@ func (mw *Middleware) SubmitEdgeOutcome(c *Cluster, device network.NodeID, r wor
 	mw.armTimeout(req)
 	// Device → gateway transfer, then the gateway's processing delay,
 	// then decide.
-	ok := mw.Net.SendTraced(device, c.EdgeGW, r.Input, req.span, func(sim.Time) {
-		mw.Engine.AfterTransient(mw.cfg.GatewayOverhead, func() { mw.decide(c, req) })
-	}, func() { mw.loseEdge(req) })
-	if !ok {
-		mw.waitOrReject(req)
-	}
+	mw.toGateway(req, device, c)
 }
 
 // SubmitEdgeDirect injects a direct local request to a pinned worker (the
@@ -403,27 +405,9 @@ func (mw *Middleware) SubmitEdgeDirect(c *Cluster, device network.NodeID, w *Wor
 	mw.Edge.Submitted.Inc()
 	req.span = mw.Tracer.BeginSpan(mw.Engine.Now(), "request", req.id, 0)
 	mw.armTimeout(req)
-	ok := mw.Net.SendTraced(device, w.Node, r.Input, req.span, func(sim.Time) {
-		if !w.M.Offline() && w.FreeSlots() > 0 {
-			mw.execute(c, w, req, w.Node) // respond straight to the device
-			return
-		}
-		mw.Edge.DirectFallbacks.Inc()
-		req.flow = FlowEdgeIndirect
-		if req.span != 0 {
-			mw.Tracer.Instant(mw.Engine.Now(), "direct-fallback", 0, req.span, "")
-		}
-		// Forward from the worker to the gateway and decide there.
-		ok := mw.Net.SendTraced(w.Node, c.EdgeGW, r.Input, req.span, func(sim.Time) {
-			mw.Engine.AfterTransient(mw.cfg.GatewayOverhead, func() { mw.decide(c, req) })
-		}, func() { mw.loseEdge(req) })
-		if !ok {
-			mw.waitOrReject(req)
-		}
-	}, func() { mw.loseEdge(req) })
-	if !ok {
-		mw.waitOrReject(req)
-	}
+	l := mw.newLeg(req)
+	l.c, l.w = c, w
+	l.send(legToPinned, device, w.Node, req.input)
 }
 
 // decide applies the offload policy to a request sitting at c's gateway.
@@ -481,67 +465,20 @@ func (mw *Middleware) runEdgeOn(c *Cluster, w *Worker, req *edgeReq) {
 // then executes. The reservation is released when the input lands (or dies
 // on the wire).
 func (mw *Middleware) shipEdge(c *Cluster, w *Worker, req *edgeReq) {
-	ok := mw.Net.SendTraced(c.EdgeGW, w.Node, req.input, req.span, func(sim.Time) {
-		w.reserved--
-		if req.done {
-			return
-		}
-		if !w.M.Offline() && w.M.FreeSlots() > 0 {
-			mw.execute(c, w, req, c.EdgeGW)
-			return
-		}
-		// The slot vanished while the input was in flight (another start,
-		// or the worker failed under us); re-decide.
-		mw.decide(c, req)
-	}, func() {
-		w.reserved--
-		if req.done {
-			return
-		}
-		mw.loseEdge(req)
-	})
-	if !ok {
-		w.reserved--
-		mw.waitOrReject(req)
-	}
+	l := mw.newLeg(req)
+	l.c, l.w = c, w
+	l.send(legToWorker, c.EdgeGW, w.Node, req.input)
 }
 
 // execute runs the request on the worker and routes the response back to
 // the origin via `via` (gateway for indirect, worker-direct otherwise).
-func (mw *Middleware) execute(c *Cluster, w *Worker, req *edgeReq, via network.NodeID) {
-	cspan := mw.Tracer.BeginSpan(mw.Engine.Now(), "compute", 0, req.span)
-	req.cspan = cspan
-	task := &server.Task{ID: req.id, Work: req.work, Class: classEdge, Ctx: req}
-	task.OnDone = func(at sim.Time) {
-		if cspan != 0 {
-			mw.Tracer.EndSpanDetail(at, cspan, w.M.Name)
-			if req.cspan == cspan {
-				req.cspan = 0
-			}
-		}
-		// A lost response re-enters the retry ladder like any other wire
-		// loss: the work is redone, which is the at-least-once semantics a
-		// client retransmit gives you.
-		respond := func(sim.Time) { mw.completeEdge(req) }
-		lost := func() { mw.loseEdge(req) }
-		if via == w.Node {
-			// Direct: worker answers the device itself.
-			if !mw.Net.SendTraced(w.Node, req.origin, req.output, req.span, respond, lost) {
-				mw.waitOrReject(req)
-			}
-			return
-		}
-		// Indirect: worker → gateway → device.
-		ok := mw.Net.SendTraced(w.Node, via, req.output, req.span, func(sim.Time) {
-			if !mw.Net.SendTraced(via, req.origin, req.output, req.span, respond, lost) {
-				mw.waitOrReject(req)
-			}
-		}, lost)
-		if !ok {
-			mw.waitOrReject(req)
-		}
-	}
-	if !w.M.Start(task) {
+func (mw *Middleware) execute(w *Worker, req *edgeReq, via network.NodeID) {
+	l := mw.newLeg(req)
+	l.w, l.from, l.via = w, w.Node, via
+	l.cspan = mw.Tracer.BeginSpan(mw.Engine.Now(), "compute", 0, req.span)
+	req.cspan = l.cspan
+	l.start()
+	if !w.M.Start(&l.task) {
 		panic(fmt.Sprintf("core: execute on full worker %s", w.M.Name))
 	}
 }
@@ -589,15 +526,9 @@ func (mw *Middleware) forwardHorizontal(c *Cluster, req *edgeReq) {
 	c.fwdOut++
 	best.fwdIn++
 	req.fwd = true
-	target := best
-	ok := mw.Net.SendTraced(c.EdgeGW, target.EdgeGW, req.input, req.span, func(sim.Time) {
-		// Responses will flow back through the remote gateway; the origin
-		// stays the device, so the path is worker → remote GW → device.
-		mw.Engine.AfterTransient(mw.cfg.GatewayOverhead, func() { mw.decide(target, req) })
-	}, func() { mw.loseEdge(req) })
-	if !ok {
-		mw.waitOrReject(req)
-	}
+	// Responses will flow back through the remote gateway; the origin
+	// stays the device, so the path is worker → remote GW → device.
+	mw.toGateway(req, c.EdgeGW, best)
 }
 
 // forwardVertical ships the request to the datacenter.
@@ -607,39 +538,11 @@ func (mw *Middleware) forwardVertical(c *Cluster, req *edgeReq) {
 		return
 	}
 	mw.Edge.Vertical.Inc()
-	lost := func() { mw.loseEdge(req) }
-	ok := mw.Net.SendTraced(c.EdgeGW, mw.dcNode, req.input, req.span, func(sim.Time) {
-		if req.done {
-			return
-		}
-		cspan := mw.Tracer.BeginSpan(mw.Engine.Now(), "compute", 0, req.span)
-		req.cspan = cspan
-		task := &server.Task{ID: req.id, Work: req.work, Class: classEdge, Ctx: req}
-		task.OnDone = func(at sim.Time) {
-			if cspan != 0 {
-				mw.Tracer.EndSpanDetail(at, cspan, "datacenter")
-				if req.cspan == cspan {
-					req.cspan = 0
-				}
-			}
-			// Response: datacenter → gateway → device.
-			ok := mw.Net.SendTraced(mw.dcNode, c.EdgeGW, req.output, req.span, func(sim.Time) {
-				ok := mw.Net.SendTraced(c.EdgeGW, req.origin, req.output, req.span, func(sim.Time) {
-					mw.completeEdge(req)
-				}, lost)
-				if !ok {
-					mw.waitOrReject(req)
-				}
-			}, lost)
-			if !ok {
-				mw.waitOrReject(req)
-			}
-		}
-		mw.dcPool.Submit(task, req.deadline, nil)
-	}, lost)
-	if !ok {
-		mw.waitOrReject(req)
-	}
+	// The task runs in the datacenter; its response returns through c's
+	// gateway to the device.
+	l := mw.newLeg(req)
+	l.from, l.via = mw.dcNode, c.EdgeGW
+	l.send(legToDatacenter, c.EdgeGW, mw.dcNode, req.input)
 }
 
 // ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@
 // engine.
 //
 // Once its route is cached, forwarding a message allocates nothing and
-// looks nothing up per hop. The route cache holds, per endpoint pair, the
-// node path, the directed links it resolves to and their summed latency,
-// so a send costs one cache lookup and PathLatency is that lookup alone.
+// looks nothing up per hop. The route cache is a table indexed by source
+// then destination node; an entry holds the node path, the directed links
+// it resolves to and their summed latency, so a send costs two slice
+// indexings and PathLatency is that lookup alone.
 // Every accepted multi-hop message rides one transfer record from a
 // per-fabric free list, reused for each of its hops and scheduled on the
 // engine's transient path. Any topology change (Connect, link or node
@@ -122,9 +123,11 @@ type Fabric struct {
 	engine *sim.Engine
 	links  map[[2]NodeID]*Link
 	adj    map[NodeID][]NodeID // neighbours in Connect order (determinism)
-	// routes caches resolved paths by endpoint pair; a nil entry caches
+	// routes caches resolved paths, indexed by source then destination.
+	// A source's row is made on its first lookup and costs one pointer per
+	// node; a nil entry is not yet resolved and noRoute caches
 	// "unreachable".
-	routes map[[2]NodeID]*route
+	routes [][]*route
 	names  map[NodeID]string
 	nextID NodeID
 
@@ -160,13 +163,15 @@ type route struct {
 	latency sim.Time
 }
 
+// noRoute is the route-cache entry of a pair found unreachable.
+var noRoute = &route{}
+
 // NewFabric returns an empty fabric.
 func NewFabric(e *sim.Engine) *Fabric {
 	return &Fabric{
 		engine: e,
 		links:  map[[2]NodeID]*Link{},
 		adj:    map[NodeID][]NodeID{},
-		routes: map[[2]NodeID]*route{},
 		names:  map[NodeID]string{},
 		loss:   map[string]float64{},
 	}
@@ -337,20 +342,42 @@ func (f *Fabric) Route(a, b NodeID) []NodeID {
 }
 
 // lookup returns the cached route a→b, resolving it on a miss; nil when b
-// is unreachable or either endpoint is down.
+// is unreachable, either endpoint is down or was never added.
 func (f *Fabric) lookup(a, b NodeID) *route {
-	if f.NodeDown(a) || f.NodeDown(b) {
+	if !f.known(a) || !f.known(b) || f.nodeDown[a] || f.nodeDown[b] {
 		return nil
 	}
-	k := [2]NodeID{a, b}
-	if r, ok := f.routes[k]; ok {
-		return r
+	if int(a) < len(f.routes) {
+		if row := f.routes[a]; int(b) < len(row) {
+			if r := row[b]; r != nil {
+				if r == noRoute {
+					return nil
+				}
+				return r
+			}
+		}
 	}
-	var r *route
+	return f.miss(a, b)
+}
+
+// miss resolves a→b and files it in the route table, growing the table to
+// every node added so far.
+func (f *Fabric) miss(a, b NodeID) *route {
+	n := len(f.nodeDown)
+	if len(f.routes) < n {
+		f.routes = append(f.routes, make([][]*route, n-len(f.routes))...)
+	}
+	if row := f.routes[a]; len(row) < n {
+		f.routes[a] = append(row, make([]*route, n-len(row))...)
+	}
+	r := noRoute
 	if path := f.bfs(a, b); path != nil {
 		r = f.resolve(path)
 	}
-	f.routes[k] = r
+	f.routes[a][b] = r
+	if r == noRoute {
+		return nil
+	}
 	return r
 }
 

@@ -23,7 +23,10 @@ import (
 	"df3/internal/units"
 )
 
-// Task is a single-core unit of work.
+// Task is a single-core unit of work. A finished task may be started
+// again, on any machine, once its OnDone has run: Start resets its
+// progress, and the completion it bound on its first start is reused, so
+// a restart allocates only its completion Event.
 type Task struct {
 	// ID identifies the task for tracing.
 	ID uint64
@@ -43,9 +46,16 @@ type Task struct {
 	lastT     sim.Time
 	machine   *Machine
 	doneEv    *sim.Event
-	started   sim.Time
-	seq       uint64 // admission order on the machine, for deterministic rebalance
+	// fire is t.complete, bound on the task's first start and kept across
+	// pauses, preemptions and restarts.
+	fire    func()
+	started sim.Time
+	seq     uint64 // admission order on the machine, for deterministic rebalance
 }
+
+// complete finishes the task on the machine it runs on; only its
+// completion Event calls it.
+func (t *Task) complete() { t.machine.finish(t) }
 
 // Remaining returns the work left, as of the machine's last state change.
 func (t *Task) Remaining() float64 { return t.remaining }
@@ -257,7 +267,9 @@ func (m *Machine) traceWindows() {
 // Completion events are re-keyed in place (Engine.Reset) rather than
 // cancelled and re-pushed: under an unchanged rate the re-derived time
 // moves by at most rounding noise, so the heap fix-up is near-free, and
-// no Event or closure is allocated for a task that already has one.
+// no Event is allocated for a task that already has one. A task without
+// one (first start, or resumed after a pause) gets a new Event for its
+// handle, which Reset and Cancel need, on the completion bound in Start.
 func (m *Machine) rebalance() {
 	now := m.engine.Now()
 	for i, t := range m.tasks {
@@ -279,7 +291,7 @@ func (m *Machine) rebalance() {
 			if t.doneEv != nil {
 				m.engine.Reset(t.doneEv, at)
 			} else {
-				t.doneEv = m.engine.At(at, func() { m.finish(t) })
+				t.doneEv = m.engine.At(at, t.fire)
 			}
 		} else if t.doneEv != nil {
 			m.engine.Cancel(t.doneEv)
@@ -299,6 +311,9 @@ func (m *Machine) Start(t *Task) bool {
 		return false
 	}
 	t.machine = m
+	if t.fire == nil {
+		t.fire = t.complete
+	}
 	t.remaining = t.Work
 	t.started = m.engine.Now()
 	t.seq = m.nextSq

@@ -382,3 +382,39 @@ func TestOfflineMachineRefusesWork(t *testing.T) {
 		t.Error("restored machine refused work")
 	}
 }
+
+// TestRestartedTaskMatchesFresh: a finished task started again completes
+// at the same instant as a fresh task of the same work started alongside
+// it on an identical machine, and a restart allocates only its completion
+// Event: the completion it bound on its first start is reused.
+func TestRestartedTaskMatchesFresh(t *testing.T) {
+	e := sim.New()
+	m, ref := newQrad(e), newQrad(e)
+	var reusedAt, freshAt sim.Time
+	reused := &Task{ID: 1, Work: 3, OnDone: func(at sim.Time) { reusedAt = at }}
+	if !m.Start(reused) {
+		t.Fatal("first start rejected")
+	}
+	e.Run(10)
+	if reusedAt != 3 {
+		t.Fatalf("first run finished at %v, want 3", reusedAt)
+	}
+	reused.Work = 7
+	if !m.Start(reused) {
+		t.Fatal("restart of a finished task rejected")
+	}
+	fresh := &Task{ID: 2, Work: 7, OnDone: func(at sim.Time) { freshAt = at }}
+	ref.Start(fresh)
+	e.Run(100)
+	if reusedAt != freshAt || freshAt != 17 {
+		t.Fatalf("restarted task finished at %v, fresh one at %v, want both 17", reusedAt, freshAt)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		reused.Work = 0.5
+		m.Start(reused)
+		e.Run(e.Now() + 1)
+	})
+	if allocs != 1 {
+		t.Errorf("a restart allocates %v objects, want 1 (its completion Event)", allocs)
+	}
+}
