@@ -19,6 +19,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -28,6 +30,7 @@ import (
 	"df3/internal/report"
 	"df3/internal/shard"
 	"df3/internal/sim"
+	"df3/internal/trace"
 	"df3/internal/wire"
 )
 
@@ -52,7 +55,7 @@ func main() {
 	flag.Float64Var(&cfg.intercity, "intercity", 2, "inter-city offload jobs per hour per city (0 disables)")
 	flag.DurationVar(&cfg.timeout, "timeout", wire.DefaultTimeout, "wall bound on each worker round trip")
 	flag.StringVar(&cfg.metricsPath, "metrics", "", "write gathered worker metrics (Prometheus text) to this file")
-	flag.StringVar(&cfg.tracePath, "trace", "", "write gathered worker trace chunks (JSONL) to this file")
+	flag.StringVar(&cfg.tracePath, "trace", "", "write the workers' spans to this file as one span JSONL trace (summarise with df3trace)")
 	flag.Parse()
 
 	if err := cfg.validate(); err != nil {
@@ -126,7 +129,7 @@ func runRemote(cfg coordConfig, spec city.Spec, owned [][]int) error {
 		}
 	}
 	if cfg.tracePath != "" {
-		if err := gatherChunks(cfg.tracePath, workers, func(p int) ([]byte, error) {
+		if err := gatherSpans(cfg.tracePath, len(workers), func(p int) ([]byte, error) {
 			return clients[p].Trace()
 		}); err != nil {
 			return fmt.Errorf("trace: %w", err)
@@ -273,6 +276,43 @@ func gatherChunks(path string, workers []string, chunk func(p int) ([]byte, erro
 		if _, err := f.Write(b); err != nil {
 			return err
 		}
+	}
+	return f.Close()
+}
+
+// gatherSpans writes every worker's span chunk to path as one span JSONL
+// trace. Each worker numbers its spans from 1, so a worker's span ids, and
+// its non-zero parent ids, shift past the largest id of the workers before
+// it; processes need no shift, being global already (city index + 1).
+func gatherSpans(path string, workers int, chunk func(p int) ([]byte, error)) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	enc := json.NewEncoder(f)
+	var base trace.SpanID
+	for p := 0; p < workers; p++ {
+		b, err := chunk(p)
+		if err != nil {
+			return err
+		}
+		spans, err := trace.ReadSpansJSONL(bytes.NewReader(b))
+		if err != nil {
+			return fmt.Errorf("worker %d: %w", p, err)
+		}
+		top := base
+		for _, sp := range spans {
+			sp.ID += base
+			if sp.Parent != 0 {
+				sp.Parent += base
+			}
+			top = max(top, sp.ID)
+			if err := enc.Encode(sp); err != nil {
+				return err
+			}
+		}
+		base = top
 	}
 	return f.Close()
 }

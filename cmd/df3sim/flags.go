@@ -14,8 +14,7 @@ type simConfig struct {
 	edgeRate, dccRate         float64
 	climate, start            string
 	arch, policy              string
-	csvPath, tracePath        string
-	spansPath                 string
+	csvPath, spansPath        string
 	mtbf                      float64
 }
 
@@ -60,7 +59,6 @@ func (c simConfig) validate() error {
 	}
 	for _, p := range []struct{ flag, path string }{
 		{"-csv", c.csvPath},
-		{"-trace", c.tracePath},
 		{"-spans", c.spansPath},
 	} {
 		if p.path == "" {

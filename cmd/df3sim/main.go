@@ -37,8 +37,7 @@ func main() {
 	offices := flag.Bool("offices", false, "office schedules instead of homes")
 	flag.StringVar(&cfg.csvPath, "csv", "", "write the capacity series to this CSV file")
 	flag.Float64Var(&cfg.mtbf, "mtbf", 0, "mean days between machine failures (0 disables fault injection)")
-	flag.StringVar(&cfg.tracePath, "trace", "", "write per-request trace events to this CSV file")
-	flag.StringVar(&cfg.spansPath, "spans", "", "record causal spans across the whole stack and write them as JSONL (summarise with df3trace spans)")
+	flag.StringVar(&cfg.spansPath, "spans", "", "record causal spans across the whole stack and write them as JSONL (summarise with df3trace)")
 	flag.Parse()
 
 	if err := cfg.validate(); err != nil {
@@ -91,13 +90,9 @@ func main() {
 	horizon := sim.Time(cfg.days) * sim.Day
 	c := city.Build(ccfg)
 	var rec *trace.Recorder
-	if cfg.tracePath != "" || cfg.spansPath != "" {
+	if cfg.spansPath != "" {
 		rec = trace.NewRecorder(0)
-		if cfg.spansPath != "" {
-			c.EnableTracing(rec)
-		} else {
-			c.MW.Tracer = rec
-		}
+		c.EnableTracing(rec)
 	}
 	if cfg.edgeRate > 0 {
 		c.StartEdgeTraffic(horizon, cfg.edgeRate)
@@ -126,17 +121,6 @@ func main() {
 		}
 		fmt.Printf("capacity series written to %s\n", cfg.csvPath)
 	}
-	if cfg.tracePath != "" {
-		f, err := os.Create(cfg.tracePath)
-		if err != nil {
-			fatal("trace: %v", err)
-		}
-		defer f.Close()
-		if err := rec.WriteCSV(f); err != nil {
-			fatal("trace: %v", err)
-		}
-		fmt.Printf("%d trace events written to %s\n", rec.Len(), cfg.tracePath)
-	}
 	if cfg.spansPath != "" {
 		writeSpans(rec, cfg.spansPath)
 	}
@@ -152,7 +136,7 @@ func writeSpans(rec *trace.Recorder, path string) {
 	if err := rec.WriteSpansJSONL(f); err != nil {
 		fatal("spans: %v", err)
 	}
-	fmt.Printf("%d spans written to %s (df3trace spans %s)\n",
+	fmt.Printf("%d spans written to %s (df3trace %s)\n",
 		len(rec.Spans()), path, path)
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,33 +11,74 @@ import (
 	"df3/internal/trace"
 )
 
-// TestEventsModeReadsCSVWhateverTheName: df3sim -trace writes CSV events
-// whatever the file is called, so a trace named run.jsonl must summarise
-// like any other.
-func TestEventsModeReadsCSVWhateverTheName(t *testing.T) {
-	var rec trace.Recorder
-	rec.Add(1, "edge_latency", 1, 0.2)
-	rec.Add(2, "edge_latency", 2, 0.4)
-	rec.Add(3, "dcc_done", 3, 300)
+// writeSpans records one served request tree and writes it as span JSONL,
+// the way df3sim -spans does, with header prepended verbatim.
+func writeSpans(t *testing.T, header string) string {
+	t.Helper()
+	rec := trace.NewRecorder(0)
+	rec.BeginProcess("city-0")
+	root := rec.BeginSpan(0, "request", 1, 0)
+	rec.Instant(0.001, "decide", 0, root, "run")
+	c := rec.BeginSpan(0.002, "compute", 0, root)
+	rec.EndSpan(0.030, c)
+	rec.EndSpanDetail(0.035, root, "served")
+	job := rec.BeginSpan(1, "dcc-job", 2, 0)
+	rec.EndSpanDetail(61, job, "done")
+	var buf bytes.Buffer
+	buf.WriteString(header)
+	if err := rec.WriteSpansJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "run.jsonl")
-	f, err := os.Create(path)
-	if err != nil {
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.WriteCSV(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return path
+}
 
+// TestSummarisesSpansFile: a span JSONL file yields the per-stage table,
+// the self-time table, the requested critical paths (slowest root first)
+// and a Chrome export that parses as JSON.
+func TestSummarisesSpansFile(t *testing.T) {
+	path := writeSpans(t, "")
+	chrome := filepath.Join(t.TempDir(), "run.json")
 	var out bytes.Buffer
-	if err := eventsMode(&out, path); err != nil {
-		t.Fatalf("events mode on a CSV trace named %s: %v", filepath.Base(path), err)
+	if err := summarise(&out, path, 2, chrome); err != nil {
+		t.Fatalf("summarise %s: %v", path, err)
 	}
-	for _, want := range []string{"3 events", "edge_latency", "dcc_done"} {
+	for _, want := range []string{
+		"4 spans, per-stage latency", "exclusive self time",
+		`critical path of root #1 (dcc-job "done"`,
+		`critical path of root #2 (request "served"`,
+		"compute", "chrome trace written to",
+	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("summary lacks %q:\n%s", want, out.String())
 		}
+	}
+	b, err := os.ReadFile(chrome)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(b) {
+		t.Errorf("chrome export is not valid JSON: %.200s", b)
+	}
+}
+
+// TestSummariseRejectsBadFiles: a file with a non-span line (the per-worker
+// comment headers a metrics gather writes) and a file with no spans are
+// errors, not empty summaries.
+func TestSummariseRejectsBadFiles(t *testing.T) {
+	bad := writeSpans(t, "# worker 0 (127.0.0.1:9461)\n")
+	if err := summarise(&bytes.Buffer{}, bad, 1, ""); err == nil {
+		t.Error("a span file with a comment header was accepted")
+	}
+	empty := filepath.Join(t.TempDir(), "empty.jsonl")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := summarise(&bytes.Buffer{}, empty, 1, "")
+	if err == nil || !strings.Contains(err.Error(), "no spans") {
+		t.Errorf("empty span file: err %v, want a no-spans error", err)
 	}
 }

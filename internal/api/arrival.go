@@ -1,11 +1,11 @@
 // Arrival logging and replay: the live serving plane's determinism
 // contract. A paced run records every external arrival at the simulated
 // instant it was applied, plus every Run-slice boundary the driver crossed.
-// Replaying the log through the batch driver reproduces the exact same
-// sequence of engine calls — injections applied at the same sim times,
-// slices cut at the same boundaries — so the replayed federation reaches a
-// byte-identical Checksum. Live traffic is thereby auditable offline: any
-// production window can be re-executed, instrumented, and diffed.
+// Replaying the log in batch reproduces the exact same sequence of engine
+// calls — injections applied at the same sim times, slices cut at the same
+// boundaries — so the replayed federation reaches a byte-identical
+// Checksum. Live traffic is thereby auditable offline: any production
+// window can be re-executed, instrumented, and diffed.
 package api
 
 import (
@@ -219,10 +219,10 @@ func (a *arrivalWriter) Sync() (int64, error) {
 }
 
 // ReplayArrivals re-executes a recorded arrival log against a freshly
-// built federation under the batch driver: advance records become Run
-// calls, arrival records become direct submissions. Given the same
-// FederationConfig the replayed run is byte-identical to the live one —
-// compare Federation.Checksum.
+// built federation in batch: advance records become Run calls, arrival
+// records become direct submissions. Given the same FederationConfig the
+// replayed run is byte-identical to the live one — compare
+// Federation.Checksum.
 //
 // Parsing is tolerant (ParseArrivalLog): a torn or corrupt tail — the
 // normal residue of a crash — is skipped, and the durable prefix replays.

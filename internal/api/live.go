@@ -66,10 +66,10 @@ type LiveConfig struct {
 	// CheckpointDir is where checkpoint files are atomically written.
 	CheckpointDir string
 
-	// Resume, when non-empty, is the recovered WAL: Start replays it
-	// through the batch driver — observably in the "recovering" state,
-	// before paced serving begins — so the session continues exactly
-	// where the crashed one left off.
+	// Resume, when non-empty, is the recovered WAL: Start replays it in
+	// batch — observably in the "recovering" state, before paced serving
+	// begins — so the session continues exactly where the crashed one
+	// left off.
 	Resume []ArrivalRecord
 	// ResumeSeq is the injection sequence to resume numbering at
 	// (max(checkpoint NextSeq, highest WAL seq + 1)).
@@ -103,7 +103,8 @@ type LiveConfig struct {
 // Live runs a federation in paced real time behind an ingest plane:
 // admission control in front of a thread-safe injection queue, per-request
 // outcome callbacks answering HTTP clients, every arrival recorded for
-// byte-identical offline replay. One Live owns its federation's Driver.
+// byte-identical offline replay. One Live owns its federation's clock: its
+// paced driver is the only thing that runs the federation's kernel.
 type Live struct {
 	fed    *city.Federation
 	cfg    LiveConfig
@@ -244,7 +245,6 @@ func NewLive(f *city.Federation, cfg LiveConfig) *Live {
 	for _, c := range f.Cities {
 		c.MW.StatsOnly()
 	}
-	f.Driver = l.paced
 	l.registerMetrics()
 	return l
 }
@@ -374,14 +374,13 @@ func (l *Live) Start() {
 			l.nextCkpt = l.fed.Now() + l.cfg.CheckpointEvery
 		}
 		l.health.set(StateServing)
-		l.fed.Run(l.cfg.Horizon)
+		l.paced.Drive(l.fed.Kernel, l.cfg.Horizon)
 	}()
 }
 
-// recover replays the recovered WAL through the batch driver and verifies
-// the recovered checkpoint. Runs on the driver goroutine before paced
-// serving begins; the federation temporarily loses its paced driver so
-// the replay is pure batch fast-forward.
+// recover replays the recovered WAL in batch and verifies the recovered
+// checkpoint. Runs on the driver goroutine before paced serving begins,
+// so the replay is pure batch fast-forward.
 func (l *Live) recover() error {
 	if len(l.cfg.Resume) == 0 && l.cfg.VerifySnapshot == nil {
 		return nil
@@ -390,8 +389,6 @@ func (l *Live) recover() error {
 	defer func() {
 		l.recoveryDurNs.Store(l.clock.Now().UnixNano() - l.recoveryStartNs.Load())
 	}()
-	l.fed.Driver = nil
-	defer func() { l.fed.Driver = l.paced }()
 	n := l.cfg.VerifyAfter
 	if n < 0 || n > len(l.cfg.Resume) {
 		return fmt.Errorf("recover: VerifyAfter %d outside resume log of %d records", n, len(l.cfg.Resume))

@@ -538,6 +538,6 @@ func TestLiveRetainsNoSamples(t *testing.T) {
 		t.Fatalf("replay checksum %#x != live %#x", got, want)
 	}
 	if q := replay.Cities[0].MW.Edge.Latency.Quantile(0.5); math.IsNaN(q) {
-		t.Fatal("a replay under the batch driver lost its exact quantiles")
+		t.Fatal("a batch replay lost its exact quantiles")
 	}
 }

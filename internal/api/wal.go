@@ -244,10 +244,10 @@ func (lg *ArrivalLog) Covered(n int64) int {
 	return sort.Search(len(lg.Ends), func(i int) bool { return lg.Ends[i] > n })
 }
 
-// ReplayRecords applies parsed arrival records to a federation under the
-// batch driver: advance records become Run calls, arrivals become direct
-// submissions, in log order. Outcome callbacks are nil — replay observes
-// nothing, which is what keeps it byte-identical to the live run.
+// ReplayRecords applies parsed arrival records to a federation in batch:
+// advance records become Run calls, arrivals become direct submissions, in
+// log order. Outcome callbacks are nil — replay observes nothing, which is
+// what keeps it byte-identical to the live run.
 func ReplayRecords(f *city.Federation, recs []ArrivalRecord) {
 	for _, rec := range recs {
 		if rec.Kind == "advance" {

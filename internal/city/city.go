@@ -188,11 +188,6 @@ type City struct {
 	// links, severed nodes).
 	MessagesLost metrics.Counter
 
-	// Driver advances the scenario's clock in Run. The default is the
-	// batch run-to-completion driver; serving deployments install a
-	// sim.Paced driver to couple the engine to the wall clock.
-	Driver sim.Driver
-
 	stream *rng.Stream
 	faults *rng.Stream
 	// registry is the lazily built Observability() metrics registry.
@@ -555,15 +550,8 @@ func (c *City) armGatewayFaults() {
 // Now returns the scenario's current simulated time.
 func (c *City) Now() sim.Time { return c.Engine.Now() }
 
-// Run advances the scenario to `until` under the installed driver (batch
-// run-to-completion when none is set).
-func (c *City) Run(until sim.Time) {
-	d := c.Driver
-	if d == nil {
-		d = sim.Batch{}
-	}
-	d.Drive(c.Engine, until)
-}
+// Run advances the scenario to `until` as fast as events execute.
+func (c *City) Run(until sim.Time) { c.Engine.Run(until) }
 
 // Rooms yields every room in the city.
 func (c *City) Rooms() []*Room {

@@ -48,10 +48,6 @@ type Federation struct {
 	// Backbone is the validated inter-city WAN every city pair shares.
 	Backbone network.BackboneSpec
 	Cities   []*City
-	// Driver advances the kernel's clock in Run (batch when nil). A
-	// sim.Paced driver here runs the whole sharded federation in real
-	// time, draining external injections at slice boundaries.
-	Driver sim.Driver
 
 	lps []*shard.LP
 	// partition is the city→shard assignment applied at build.
@@ -216,14 +212,8 @@ func (f *Federation) submitRemote(srcCity, dstCity int, job workload.BatchJob) {
 func (f *Federation) Now() sim.Time { return f.Kernel.Now() }
 
 // Run advances the whole federation to `until` under the sharded kernel,
-// through the installed driver (batch run-to-completion when none is set).
-func (f *Federation) Run(until sim.Time) {
-	d := f.Driver
-	if d == nil {
-		d = sim.Batch{}
-	}
-	d.Drive(f.Kernel, until)
-}
+// as fast as events execute.
+func (f *Federation) Run(until sim.Time) { f.Kernel.Run(until) }
 
 // EnableTracing gives every city its own span recorder (recorders are not
 // concurrency-safe, and cities on different shards trace concurrently),

@@ -17,10 +17,10 @@ import (
 const machineTraceBit = uint64(1) << 41
 
 // EnableTracing installs rec on every traced layer: the middleware (request
-// and job lifecycle spans plus the legacy event records), the network
-// fabric (per-message and per-hop spans) and every machine (offline and
-// derate window spans). Call it once, before Run; tracing is pure
-// observation and never perturbs the simulation's event order or RNG draws.
+// and job lifecycle spans), the network fabric (per-message and per-hop
+// spans) and every machine (offline and derate window spans). Call it once,
+// before Run; tracing is pure observation and never perturbs the
+// simulation's event order or RNG draws.
 func (c *City) EnableTracing(rec *trace.Recorder) {
 	c.MW.Tracer = rec
 	c.Net.Tracer = rec
@@ -151,7 +151,6 @@ func (c *City) Observability() *metrics.Registry {
 
 	// Trace recorder health (only present when tracing is on).
 	if rec := c.MW.Tracer; rec != nil {
-		r.CounterFunc("df3_trace_dropped_events_total", "events evicted from the trace ring", nil, rec.DroppedEvents)
 		r.CounterFunc("df3_trace_dropped_spans_total", "spans evicted from the trace ring", nil, rec.DroppedSpans)
 		r.GaugeFunc("df3_trace_open_spans", "spans begun but not yet ended", nil,
 			func() float64 { return float64(len(rec.OpenSpans())) })

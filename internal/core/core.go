@@ -23,33 +23,6 @@ import (
 	"df3/internal/units"
 )
 
-// Flow labels the three request flows of the DF3 model.
-type Flow int
-
-const (
-	// FlowHeating is a comfort request (setpoint change).
-	FlowHeating Flow = iota
-	// FlowDCC is an Internet distributed-cloud-computing request.
-	FlowDCC
-	// FlowEdgeIndirect is a local request routed through the edge gateway.
-	FlowEdgeIndirect
-	// FlowEdgeDirect is a local request sent straight to a worker.
-	FlowEdgeDirect
-)
-
-func (f Flow) String() string {
-	switch f {
-	case FlowHeating:
-		return "heating"
-	case FlowDCC:
-		return "dcc"
-	case FlowEdgeIndirect:
-		return "edge-indirect"
-	default:
-		return "edge-direct"
-	}
-}
-
 // Task classes, used for preemption victim selection on shared workers.
 const (
 	classEdge = 1
@@ -258,7 +231,6 @@ type DCCOutcome struct {
 // edgeReq is the in-flight state of one edge request.
 type edgeReq struct {
 	id       uint64
-	flow     Flow
 	origin   network.NodeID // where the response must return to
 	work     float64
 	deadline sim.Time // absolute; 0 = none

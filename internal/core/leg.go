@@ -123,7 +123,6 @@ func (l *leg) delivered(sim.Time) {
 			return
 		}
 		mw.Edge.DirectFallbacks.Inc()
-		req.flow = FlowEdgeIndirect
 		if req.span != 0 {
 			mw.Tracer.Instant(mw.Engine.Now(), "direct-fallback", 0, req.span, "")
 		}

@@ -30,8 +30,9 @@ type Middleware struct {
 	Edge EdgeStats
 	DCC  DCCStats
 
-	// Tracer, when set, records per-request events (edge_served,
-	// edge_rejected, dcc_job) for offline analysis and replay.
+	// Tracer, when set, records each edge request and DCC job as a causal
+	// span tree (a request or dcc-job root ending served, rejected, done
+	// or lost) for offline analysis.
 	Tracer *trace.Recorder
 
 	// Content is the content-delivery flow ledger (see content.go).
@@ -75,12 +76,6 @@ func (mw *Middleware) completeEdge(req *edgeReq) {
 	if req.deadline != 0 && mw.Engine.Now() > req.deadline {
 		mw.Edge.Missed.Inc()
 	}
-	if mw.Tracer != nil {
-		mw.Tracer.Record(trace.Event{
-			T: mw.Engine.Now(), Kind: "edge_served", ID: req.id,
-			Value: latency, Detail: req.flow.String(),
-		})
-	}
 	mw.closeReqSpans(req, "served")
 	if req.notify != nil {
 		req.notify(EdgeOutcome{
@@ -116,9 +111,6 @@ func (mw *Middleware) rejectEdge(req *edgeReq) {
 	req.done = true
 	mw.disarmTimeout(req)
 	mw.Edge.Rejected.Inc()
-	if mw.Tracer != nil {
-		mw.Tracer.Add(mw.Engine.Now(), "edge_rejected", req.id, 0)
-	}
 	mw.closeReqSpans(req, "rejected")
 	if req.notify != nil {
 		req.notify(EdgeOutcome{
@@ -363,7 +355,6 @@ func (mw *Middleware) SubmitEdgeOutcome(c *Cluster, device network.NodeID, r wor
 	mw.nextReqID++
 	req := &edgeReq{
 		id:      mw.nextReqID,
-		flow:    FlowEdgeIndirect,
 		origin:  device,
 		work:    r.Work,
 		input:   r.Input,
@@ -391,7 +382,6 @@ func (mw *Middleware) SubmitEdgeDirect(c *Cluster, device network.NodeID, w *Wor
 	mw.nextReqID++
 	req := &edgeReq{
 		id:      mw.nextReqID,
-		flow:    FlowEdgeDirect,
 		origin:  device,
 		work:    r.Work,
 		input:   r.Input,
@@ -664,9 +654,6 @@ func (mw *Middleware) dccTaskDone(j *dccJob, work float64) {
 		}
 		mw.DCC.JobStretch.Observe(flow / ideal)
 		mw.DCC.JobsDone.Inc()
-		if mw.Tracer != nil {
-			mw.Tracer.Add(mw.Engine.Now(), "dcc_job", j.id, flow)
-		}
 		if j.span != 0 {
 			mw.Tracer.EndSpanDetail(mw.Engine.Now(), j.span, "done")
 			j.span = 0

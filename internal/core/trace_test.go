@@ -10,6 +10,20 @@ import (
 	"df3/internal/workload"
 )
 
+// roots returns the completed root spans of one stage.
+func roots(rec *trace.Recorder, stage string) []trace.Span {
+	var out []trace.Span
+	for _, sp := range rec.Spans() {
+		if sp.Parent == 0 && sp.Stage == stage {
+			out = append(out, sp)
+		}
+	}
+	return out
+}
+
+// TestTracerRecordsEdgeLifecycle: a served request is one request root
+// ending "served", whose duration is exactly the latency the ledger
+// observed, with the gateway's decide instant under it (the indirect flow).
 func TestTracerRecordsEdgeLifecycle(t *testing.T) {
 	r := newRig(t, DefaultConfig(), 1, 2)
 	rec := &trace.Recorder{}
@@ -17,18 +31,29 @@ func TestTracerRecordsEdgeLifecycle(t *testing.T) {
 	c := r.mw.Clusters()[0]
 	r.mw.SubmitEdge(c, r.devices[0], edgeReqOf(0.05, 0.5))
 	r.e.Run(10)
-	served := rec.Filter("edge_served")
+	served := roots(rec, "request")
 	if len(served) != 1 {
-		t.Fatalf("edge_served events = %d", len(served))
+		t.Fatalf("request roots = %d, want 1", len(served))
 	}
-	if served[0].Value <= 0 {
-		t.Error("traced latency not positive")
+	root := served[0]
+	if root.Detail != "served" {
+		t.Errorf("root detail = %q, want served", root.Detail)
 	}
-	if served[0].Detail != "edge-indirect" {
-		t.Errorf("traced flow = %q", served[0].Detail)
+	lat := r.mw.Edge.Latency.Values()
+	if len(lat) != 1 || lat[0] <= 0 || root.Duration() != lat[0] {
+		t.Errorf("root duration %v, observed latencies %v", root.Duration(), lat)
+	}
+	decided := false
+	for _, sp := range rec.Spans() {
+		decided = decided || (sp.Parent == root.ID && sp.Stage == "decide")
+	}
+	if !decided {
+		t.Error("indirect request has no decide instant under its root")
 	}
 }
 
+// TestTracerRecordsRejections: a rejected request is one request root
+// ending "rejected", counted by the ledger and absent from its latencies.
 func TestTracerRecordsRejections(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Offload = rejectAll{}
@@ -41,11 +66,20 @@ func TestTracerRecordsRejections(t *testing.T) {
 	}
 	r.mw.SubmitEdge(c, r.devices[0], edgeReqOf(0.05, 0.5))
 	r.e.Run(10)
-	if len(rec.Filter("edge_rejected")) != 1 {
-		t.Errorf("edge_rejected events = %d", len(rec.Filter("edge_rejected")))
+	rejected := roots(rec, "request")
+	if len(rejected) != 1 || rejected[0].Detail != "rejected" {
+		t.Fatalf("request roots = %+v, want one ending rejected", rejected)
+	}
+	if got := r.mw.Edge.Rejected.Value(); got != 1 {
+		t.Errorf("ledger rejected = %d, want 1", got)
+	}
+	if n := r.mw.Edge.Latency.Count(); n != 0 {
+		t.Errorf("rejected request observed %d latencies", n)
 	}
 }
 
+// TestTracerRecordsDCCJobs: a finished batch job is one dcc-job root
+// ending "done", whose duration is exactly the observed flow time.
 func TestTracerRecordsDCCJobs(t *testing.T) {
 	r := newRig(t, DefaultConfig(), 1, 2)
 	rec := &trace.Recorder{}
@@ -53,12 +87,17 @@ func TestTracerRecordsDCCJobs(t *testing.T) {
 	c := r.mw.Clusters()[0]
 	r.mw.SubmitDCC(c, r.op, workload.BatchJob{ID: 1, TaskWork: []float64{60, 60}, Input: 1e6, Output: 1e6})
 	r.e.Run(sim.Hour)
-	jobs := rec.Filter("dcc_job")
+	jobs := roots(rec, "dcc-job")
 	if len(jobs) != 1 {
-		t.Fatalf("dcc_job events = %d", len(jobs))
+		t.Fatalf("dcc-job roots = %d, want 1", len(jobs))
 	}
-	if jobs[0].Value < 60 {
-		t.Errorf("traced flow time %v below task duration", jobs[0].Value)
+	if jobs[0].Detail != "done" {
+		t.Errorf("root detail = %q, want done", jobs[0].Detail)
+	}
+	flow := r.mw.DCC.JobFlowTime.Values()
+	if len(flow) != 1 || flow[0] < 60 || jobs[0].Duration() != flow[0] {
+		t.Errorf("root duration %v, observed flow times %v (want equal, ≥ 60)",
+			jobs[0].Duration(), flow)
 	}
 }
 

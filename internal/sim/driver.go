@@ -7,21 +7,18 @@ import (
 )
 
 // This file is the clock boundary. A Target is anything that can advance
-// simulated time — a bare Engine, a shard kernel, a whole federation — and
-// a Driver decides how fast its clock runs relative to the host's:
-//
-//   - Batch is the run-to-completion loop every experiment uses: simulated
-//     time advances as fast as events can execute, wall-clock is invisible.
-//   - Paced advances simulated time in bounded slices against the wall
-//     clock, draining an InjectQueue of external events between slices —
-//     the serving mode, where real clients submit requests to a live
-//     simulation and wait for real outcomes.
+// simulated time — a bare Engine, a shard kernel, a whole federation. Batch
+// runs call its Run directly: simulated time advances as fast as events
+// can execute, and the wall clock is invisible. Paced instead advances it
+// in bounded slices against the wall clock, draining an InjectQueue of
+// external events between slices — the serving mode, where real clients
+// submit requests to a live simulation and wait for real outcomes.
 //
 // A paced session stays replayable: every injection applies at a known
 // (sim time, seq) instant and every slice boundary is observable through
-// OnAdvance, so a recorded arrival log driven back through the Batch
-// driver reproduces the session byte for byte. The simulation itself
-// never reads the wall clock — pacing lives entirely in this layer.
+// OnAdvance, so a recorded arrival log run back in batch reproduces the
+// session byte for byte. The simulation itself never reads the wall
+// clock — pacing lives entirely in this layer.
 
 // Target is a drivable simulation: a clock plus a run loop that executes
 // all events up to a horizon and leaves the clock there.
@@ -33,19 +30,6 @@ type Target interface {
 	// min(until, last event time) — Engine.Run semantics.
 	Run(until Time)
 }
-
-// Driver advances a Target to a horizon under some clock policy.
-type Driver interface {
-	Drive(t Target, until Time)
-}
-
-// Batch is the run-to-completion driver: simulated time is decoupled from
-// the wall clock entirely. It is the zero-cost wrapper around the loop
-// every experiment always used.
-type Batch struct{}
-
-// Drive runs t to until as fast as events execute.
-func (Batch) Drive(t Target, until Time) { t.Run(until) }
 
 // Clock abstracts the wall clock so the paced loop is testable with a
 // virtual clock. The simulation proper must never see this interface —
@@ -89,7 +73,7 @@ type Paced struct {
 	Queue *InjectQueue
 	// OnAdvance, when set, observes every slice boundary after the target
 	// reached it — the hook arrival-log recorders use to make a paced
-	// session replayable through the Batch driver.
+	// session replayable in batch.
 	OnAdvance func(reached Time)
 	// Clock defaults to WallClock.
 	Clock Clock

@@ -26,29 +26,6 @@ func (c *fakeClock) Sleep(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func TestBatchDriverMatchesEngineRun(t *testing.T) {
-	build := func() (*Engine, *[]Time) {
-		e := New()
-		var fired []Time
-		for i := 0; i < 5; i++ {
-			at := Time(i) * 10
-			e.At(at, func() { fired = append(fired, at) })
-		}
-		return e, &fired
-	}
-	e1, f1 := build()
-	e1.Run(100)
-	e2, f2 := build()
-	Batch{}.Drive(e2, 100)
-	if e1.Now() != e2.Now() || e1.Fired() != e2.Fired() {
-		t.Fatalf("batch drive diverged: now %v vs %v, fired %d vs %d",
-			e1.Now(), e2.Now(), e1.Fired(), e2.Fired())
-	}
-	if len(*f1) != len(*f2) {
-		t.Fatalf("fired %d events directly, %d under Batch", len(*f1), len(*f2))
-	}
-}
-
 func TestPacedTracksWallClock(t *testing.T) {
 	e := New()
 	clk := &fakeClock{}

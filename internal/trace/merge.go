@@ -1,6 +1,6 @@
 package trace
 
-// Merge folds another recorder's spans, events, processes and hygiene
+// Merge folds another recorder's spans, processes and hygiene
 // counters into r, remapping span and process identities so nothing
 // collides. Sharded runs record into one private recorder per shard (the
 // simulation stays single-threaded within a shard, and recorders are not
@@ -12,9 +12,8 @@ package trace
 // spans remain open (they surface in OpenSpans as usual). Trace ids are
 // caller-owned and pass through untouched — cross-recorder grouping is by
 // process, which is remapped. Merging into or from a nil recorder is a
-// no-op. The capacity bound of r applies: merged spans and events beyond it
-// evict the oldest, advancing the dropped counters exactly as live
-// recording would.
+// no-op. The capacity bound of r applies: merged spans beyond it evict the
+// oldest, advancing the dropped counter exactly as live recording would.
 func (r *Recorder) Merge(src *Recorder) {
 	if r == nil || src == nil {
 		return
@@ -44,8 +43,4 @@ func (r *Recorder) Merge(src *Recorder) {
 	r.unmatchedEnds += src.unmatchedEnds
 	r.orphanBegins += src.orphanBegins
 	r.spDropped += src.spDropped
-	r.evDropped += src.evDropped
-	for _, ev := range src.Events() {
-		r.Record(ev)
-	}
 }

@@ -33,23 +33,23 @@ type Span struct {
 // Duration returns End − Begin.
 func (s Span) Duration() sim.Time { return s.End - s.Begin }
 
-// NewRecorder returns a recorder whose event and completed-span buffers are
-// each bounded to capacity entries (0 = unbounded). When a buffer is full
-// the oldest entry is overwritten and the corresponding dropped counter
-// advances — long city runs with tracing on stay at bounded memory.
+// NewRecorder returns a recorder whose completed-span buffer is bounded to
+// capacity entries (0 = unbounded). When the buffer is full the oldest span
+// is overwritten and DroppedSpans advances — long city runs with tracing
+// on stay at bounded memory.
 func NewRecorder(capacity int) *Recorder {
 	r := &Recorder{}
 	r.SetCapacity(capacity)
 	return r
 }
 
-// SetCapacity bounds the event and completed-span buffers (0 = unbounded).
+// SetCapacity bounds the completed-span buffer (0 = unbounded).
 // It must be called before anything is recorded.
 func (r *Recorder) SetCapacity(capacity int) {
 	if capacity < 0 {
 		capacity = 0
 	}
-	if len(r.events) > 0 || len(r.spans) > 0 || r.nextSpan > 0 {
+	if len(r.spans) > 0 || r.nextSpan > 0 {
 		panic("trace: SetCapacity after recording started")
 	}
 	r.cap = capacity
@@ -57,9 +57,6 @@ func (r *Recorder) SetCapacity(capacity int) {
 
 // Capacity returns the configured buffer bound (0 = unbounded).
 func (r *Recorder) Capacity() int { return r.cap }
-
-// DroppedEvents returns how many events were evicted from the ring.
-func (r *Recorder) DroppedEvents() int64 { return r.evDropped }
 
 // DroppedSpans returns how many completed spans were evicted from the ring.
 // It stays 0 for a recorder with a sink, which keeps no ring (SetSink).

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/quick"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -132,21 +133,8 @@ func TestSpanHotPathNoAlloc(t *testing.T) {
 func TestRecorderRingCapacity(t *testing.T) {
 	r := NewRecorder(4)
 	for i := 0; i < 10; i++ {
-		r.Add(float64(i), "tick", uint64(i), 0)
 		id := r.BeginSpan(float64(i), "s", uint64(i+1), 0)
 		r.EndSpan(float64(i)+0.5, id)
-	}
-	if r.Len() != 4 {
-		t.Errorf("event len = %d, want 4", r.Len())
-	}
-	if r.DroppedEvents() != 6 {
-		t.Errorf("dropped events = %d, want 6", r.DroppedEvents())
-	}
-	evs := r.Events()
-	for i, e := range evs {
-		if e.ID != uint64(6+i) {
-			t.Errorf("event[%d].ID = %d, want %d (oldest evicted first)", i, e.ID, 6+i)
-		}
 	}
 	spans := r.Spans()
 	if len(spans) != 4 || r.DroppedSpans() != 6 {
@@ -185,6 +173,64 @@ func TestSpanJSONLRoundTrip(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("span %d: %+v != %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// Property: the JSONL round trip is lossless for arbitrary times, ids and
+// free-form stage and detail strings (commas, quotes, newlines, non-ASCII).
+func TestSpanJSONLRoundTripProperty(t *testing.T) {
+	f := func(begins []uint32, lens []uint16, stage, detail string) bool {
+		r := &Recorder{}
+		r.BeginProcess(stage)
+		var parent SpanID
+		for i := range begins {
+			if i >= len(lens) {
+				break
+			}
+			b := float64(begins[i]) / 7
+			id := r.BeginSpan(b, stage, uint64(i), parent)
+			r.EndSpanDetail(b+float64(lens[i])/3, id, detail)
+			parent = id
+		}
+		var buf bytes.Buffer
+		if err := r.WriteSpansJSONL(&buf); err != nil {
+			return false
+		}
+		got, err := ReadSpansJSONL(&buf)
+		if err != nil {
+			return false
+		}
+		want := r.Spans()
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestReadSpansJSONLErrors: a line that is not a span fails the whole read
+// instead of yielding a partial trace; an empty file is an empty trace.
+func TestReadSpansJSONLErrors(t *testing.T) {
+	for _, in := range []string{
+		"# worker 0 (127.0.0.1:9461)\n{\"id\":1,\"stage\":\"request\",\"begin\":0,\"end\":1}\n",
+		"{\"id\":1,\"stage\":\"request\",\"begin\":\"x\",\"end\":1}\n",
+		"{\"id\":1,\"stage\":\"req",
+	} {
+		if _, err := ReadSpansJSONL(strings.NewReader(in)); err == nil {
+			t.Errorf("accepted %q", in)
+		}
+	}
+	got, err := ReadSpansJSONL(strings.NewReader(""))
+	if err != nil || len(got) != 0 {
+		t.Errorf("empty input: %v spans, err %v; want none and no error", len(got), err)
 	}
 }
 
@@ -275,6 +321,15 @@ func TestSummarizeStages(t *testing.T) {
 	}
 	if n := byStage["net:device-gw"]; n.Count != 2 || math.Abs(n.Mean-0.004) > 1e-12 {
 		t.Errorf("net summary = %+v", n)
+	}
+}
+
+func TestSummarizeEmpty(t *testing.T) {
+	if got := SummarizeStages(nil); len(got) != 0 {
+		t.Errorf("summaries of a nil trace: %v", got)
+	}
+	if got := SummarizeStages([]Span{}); len(got) != 0 {
+		t.Errorf("summaries of an empty trace: %v", got)
 	}
 }
 

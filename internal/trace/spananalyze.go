@@ -7,7 +7,7 @@ import (
 )
 
 // StageSummary aggregates the durations of every span sharing one stage
-// label — the per-stage latency breakdown behind `df3trace spans`.
+// label — the per-stage latency breakdown behind `df3trace`.
 type StageSummary struct {
 	Stage string
 	Count int
