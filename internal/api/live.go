@@ -185,8 +185,8 @@ var classVerdicts = [numLineClasses][]verdict{
 }
 
 // NewLive wires a live session around a built federation. The federation
-// must not be running; NewLive installs the paced driver and switches the
-// cities' middlewares to running statistics only (core.Middleware.StatsOnly).
+// must not be running; NewLive installs the paced driver. Its cities'
+// middlewares already keep running statistics only (BuildFederation).
 func NewLive(f *city.Federation, cfg LiveConfig) *Live {
 	if cfg.IngestTimeout <= 0 {
 		cfg.IngestTimeout = 30 * time.Second
@@ -238,12 +238,6 @@ func NewLive(f *city.Federation, cfg LiveConfig) *Live {
 				l.writeCheckpoint()
 			}
 		}
-	}
-	// The live plane's quantiles come from the df3_ingest_* histograms,
-	// and Summarize and Checksum read only means, so the middlewares keep
-	// running statistics instead of every latency served.
-	for _, c := range f.Cities {
-		c.MW.StatsOnly()
 	}
 	l.registerMetrics()
 	return l

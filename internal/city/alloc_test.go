@@ -6,12 +6,12 @@ import (
 )
 
 // maxAllocsPerEvent bounds the heap allocations a federation run makes per
-// fired event on ratchetSpec. The run measures 0.413; the bound leaves 4%
+// fired event on ratchetSpec. The run measures 0.236; the bound leaves 5%
 // for allocation counts that shift between Go releases (the figure is a
 // ratio, so it holds across toolchains where exact per-experiment counts
 // need not). When a change lowers the figure, lower the bound to about
 // 1.05× the new one.
-const maxAllocsPerEvent = 0.43
+const maxAllocsPerEvent = 0.25
 
 // ratchetSpec is a small federation that runs every hot path a full run
 // does: edge requests, DCC jobs and inter-city traffic over the fabric.

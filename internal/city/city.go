@@ -386,7 +386,7 @@ func (c *City) buildBuilding(b int) *Building {
 			Building: b,
 			Index:    r,
 			Zone:     thermal.NewZone(cfg.RoomSpec),
-			Comfort:  thermal.NewComfort(1.5),
+			Comfort:  thermal.NewComfort(1.5, cfg.Calendar),
 			Node:     node,
 		}
 		var sched regulator.Schedule
@@ -562,15 +562,14 @@ func (c *City) Rooms() []*Room {
 	return out
 }
 
-// MonthlyComfort folds every room's temperature trace into per-month means
-// — the Fig. 4 output. Only months with samples appear.
+// MonthlyComfort averages every room's monthly mean temperature into
+// per-month city means — the Fig. 4 output. Only months with samples
+// appear.
 func (c *City) MonthlyComfort() (months []int, means []float64) {
 	sums := map[int]float64{}
 	counts := map[int]int{}
 	for _, r := range c.Rooms() {
-		ms, vs := r.Comfort.MonthlyMeans(func(t float64) int {
-			return c.Cfg.Calendar.MonthOfYear(t)
-		})
+		ms, vs := r.Comfort.MonthlyMeans()
 		for i, m := range ms {
 			sums[m] += vs[i]
 			counts[m]++

@@ -60,7 +60,11 @@ type Federation struct {
 	registry *metrics.Registry
 }
 
-// BuildFederation wires the cities onto a sharded kernel.
+// BuildFederation wires the cities onto a sharded kernel. Every city's
+// middleware keeps running statistics only (core.Middleware.StatsOnly):
+// CityState and the checksum read latency means, no federation output
+// reads an exact quantile, and a federation's memory must not grow with
+// every request a season serves.
 func BuildFederation(cfg FederationConfig) *Federation {
 	if cfg.Cities < 1 {
 		panic("city: federation needs at least one city")
@@ -86,6 +90,7 @@ func BuildFederation(cfg FederationConfig) *Federation {
 		ccfg := cfg.City
 		ccfg.Seed = rng.New(cfg.Seed).ForkNamed(fmt.Sprintf("city-%d", i)).Uint64()
 		c := Build(ccfg)
+		c.MW.StatsOnly()
 		f.Cities = append(f.Cities, c)
 		f.lps = append(f.lps, k.AddLP(fmt.Sprintf("city-%d", i), c.Engine, horizon))
 	}
@@ -458,6 +463,11 @@ func (f *Federation) Observability() *metrics.Registry {
 			func() int64 { return f.exported[i] })
 		r.CounterFunc("df3_city_jobs_imported_total", "jobs received from other cities", labels,
 			func() int64 { return f.imported[i] })
+		if f.recs != nil {
+			rec := f.recs[i]
+			r.CounterFunc("df3_trace_dropped_spans_total", "completed spans evicted from the city's trace ring", labels,
+				rec.DroppedSpans)
+		}
 	}
 	return r
 }

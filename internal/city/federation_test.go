@@ -1,6 +1,7 @@
 package city
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -193,6 +194,29 @@ func scrape(t *testing.T, f *Federation) (string, map[string]float64) {
 		t.Fatal(err)
 	}
 	return b.String(), series
+}
+
+// TestFederationReportsDroppedSpans: a traced federation whose city rings
+// overflow says so on its registry, per city, with the recorders' own
+// eviction counts; an untraced federation exports no such series.
+func TestFederationReportsDroppedSpans(t *testing.T) {
+	f := smallFederation(2, 1)
+	f.EnableTracing(8)
+	runFederation(f, 2*sim.Hour)
+	_, series := scrape(t, f)
+	for i := range f.Cities {
+		key := fmt.Sprintf(`df3_trace_dropped_spans_total{city="%d",shard="0"}`, i)
+		got, ok := series[key]
+		if !ok || got <= 0 {
+			t.Fatalf("%s = %v (present %v), want > 0 from an 8-span ring", key, got, ok)
+		}
+		if want := f.recs[i].DroppedSpans(); got != float64(want) {
+			t.Errorf("%s = %v, recorder dropped %d", key, got, want)
+		}
+	}
+	if text, _ := scrape(t, smallFederation(2, 1)); strings.Contains(text, "df3_trace_dropped_spans_total") {
+		t.Error("an untraced federation exports df3_trace_dropped_spans_total")
+	}
 }
 
 // TestFederationObservability: the registry exposes shard-labeled series

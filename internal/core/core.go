@@ -250,8 +250,9 @@ type edgeReq struct {
 	// attempts counts timeouts and wire losses consumed so far; it drives
 	// the escalation ladder and is bounded by EdgeMaxRetries.
 	attempts int
-	// timer is the armed response timeout, cancelled on terminal.
-	timer *sim.Event
+	// timer is the response timeout, made on the first arm and re-armed
+	// on every retry; nil while the request was never timed.
+	timer *responseTimer
 	// notify, when set, receives the request's terminal outcome — the
 	// serving path's per-request answer. Pure observation: it must not
 	// mutate middleware state.
@@ -261,6 +262,15 @@ type edgeReq struct {
 	// compute child — kept on the request so abort paths (worker failure,
 	// stale queue pops) can close them.
 	span, qspan, cspan trace.SpanID
+}
+
+// responseTimer is a request's response timeout: the Event armed
+// (Engine.Arm) at submission and on every retry and cancelled on
+// terminal, and its callback, bound once. It lives outside edgeReq so an
+// untimed request does not carry it.
+type responseTimer struct {
+	ev   sim.Event
+	fire func()
 }
 
 // dccJob is the in-flight state of one batch job.

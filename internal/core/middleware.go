@@ -51,9 +51,10 @@ type Middleware struct {
 // StatsOnly switches every latency and flow-time Sample the middleware
 // owns to running statistics only (metrics.Sample.StatsOnly): counts,
 // means and extremes stay exact, quantiles read NaN, and memory no longer
-// grows with every request settled. A long-lived serving plane, which
-// takes its quantiles from streaming histograms, calls it; batch runs
-// keep exact quantiles.
+// grows with every request settled. Every federation city calls it (no
+// federation output reads a quantile, and the live plane takes its
+// quantiles from streaming histograms); single-city runs keep exact
+// quantiles.
 func (mw *Middleware) StatsOnly() {
 	mw.Edge.Latency.StatsOnly()
 	mw.DCC.JobFlowTime.StatsOnly()
@@ -129,17 +130,17 @@ func (mw *Middleware) armTimeout(req *edgeReq) {
 	if mw.cfg.ResponseTimeout <= 0 || req.done {
 		return
 	}
-	if req.timer != nil {
-		mw.Engine.Cancel(req.timer)
+	if req.timer == nil {
+		req.timer = &responseTimer{fire: func() { mw.timeoutEdge(req) }}
 	}
-	req.timer = mw.Engine.After(mw.cfg.ResponseTimeout, func() { mw.timeoutEdge(req) })
+	mw.Engine.Cancel(&req.timer.ev)
+	mw.Engine.Arm(&req.timer.ev, mw.Engine.Now()+mw.cfg.ResponseTimeout, req.timer.fire)
 }
 
 // disarmTimeout cancels the request's response timer.
 func (mw *Middleware) disarmTimeout(req *edgeReq) {
 	if req.timer != nil {
-		mw.Engine.Cancel(req.timer)
-		req.timer = nil
+		mw.Engine.Cancel(&req.timer.ev)
 	}
 }
 
@@ -148,7 +149,6 @@ func (mw *Middleware) disarmTimeout(req *edgeReq) {
 // a queue behind a dead gateway) re-enters the decision ladder one rung
 // up: local re-decide, then horizontal, then vertical, then reject.
 func (mw *Middleware) timeoutEdge(req *edgeReq) {
-	req.timer = nil
 	if req.done {
 		return
 	}
@@ -244,7 +244,7 @@ func (mw *Middleware) toGateway(req *edgeReq, from network.NodeID, c *Cluster) {
 // the timer re-escalates once the outage may have healed — otherwise it is
 // rejected on the spot, the fail-fast seed behaviour.
 func (mw *Middleware) waitOrReject(req *edgeReq) {
-	if req.timer == nil {
+	if req.timer == nil || !req.timer.ev.Scheduled() {
 		mw.rejectEdge(req)
 	}
 }

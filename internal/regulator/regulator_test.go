@@ -167,7 +167,7 @@ func TestHeaterLoopHoldsSetpoint(t *testing.T) {
 	m := server.QradSpec().Build(e, "m")
 	zone := thermal.NewZone(thermal.Apartment)
 	zone.Temp = 20 // heating already established; we test the hold
-	comfort := thermal.NewComfort(1.5)
+	comfort := thermal.NewComfort(1.5, sim.JanuaryStart)
 	loop := &HeaterLoop{
 		Zone: zone, Machine: m,
 		Thermostat: Proportional{Band: 0.8},

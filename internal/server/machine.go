@@ -25,8 +25,8 @@ import (
 
 // Task is a single-core unit of work. A finished task may be started
 // again, on any machine, once its OnDone has run: Start resets its
-// progress, and the completion it bound on its first start is reused, so
-// a restart allocates only its completion Event.
+// progress, and the completion Event it holds and the callback it bound on
+// its first start are reused, so a restart allocates nothing.
 type Task struct {
 	// ID identifies the task for tracing.
 	ID uint64
@@ -45,7 +45,9 @@ type Task struct {
 	rate      float64 // current progress rate (0 when suspended)
 	lastT     sim.Time
 	machine   *Machine
-	doneEv    *sim.Event
+	// done is the completion Event, armed while the task progresses
+	// (Engine.Arm) and re-keyed in place when its rate changes.
+	done sim.Event
 	// fire is t.complete, bound on the task's first start and kept across
 	// pauses, preemptions and restarts.
 	fire    func()
@@ -266,10 +268,9 @@ func (m *Machine) traceWindows() {
 // the oldest `active` tasks run at the level speed, the rest suspend.
 // Completion events are re-keyed in place (Engine.Reset) rather than
 // cancelled and re-pushed: under an unchanged rate the re-derived time
-// moves by at most rounding noise, so the heap fix-up is near-free, and
-// no Event is allocated for a task that already has one. A task without
-// one (first start, or resumed after a pause) gets a new Event for its
-// handle, which Reset and Cancel need, on the completion bound in Start.
+// moves by at most rounding noise, so the heap fix-up is near-free. A
+// task whose event is not scheduled (first start, or resumed after a
+// pause) arms the Event it holds, on the completion bound in Start.
 func (m *Machine) rebalance() {
 	now := m.engine.Now()
 	for i, t := range m.tasks {
@@ -288,14 +289,13 @@ func (m *Machine) rebalance() {
 		t.rate = newRate
 		if newRate > 0 {
 			at := now + t.remaining/newRate
-			if t.doneEv != nil {
-				m.engine.Reset(t.doneEv, at)
+			if t.done.Scheduled() {
+				m.engine.Reset(&t.done, at)
 			} else {
-				t.doneEv = m.engine.At(at, t.fire)
+				m.engine.Arm(&t.done, at, t.fire)
 			}
-		} else if t.doneEv != nil {
-			m.engine.Cancel(t.doneEv)
-			t.doneEv = nil
+		} else {
+			m.engine.Cancel(&t.done)
 		}
 	}
 	m.updateMeter()
@@ -327,7 +327,6 @@ func (m *Machine) Start(t *Task) bool {
 func (m *Machine) finish(t *Task) {
 	t.remaining = 0
 	t.rate = 0
-	t.doneEv = nil
 	m.remove(t)
 	m.rebalance()
 	if t.OnDone != nil {
@@ -352,8 +351,7 @@ func (m *Machine) Preempt(t *Task) float64 {
 			t.remaining = 0
 		}
 	}
-	m.engine.Cancel(t.doneEv)
-	t.doneEv = nil
+	m.engine.Cancel(&t.done)
 	m.remove(t)
 	t.Work = t.remaining
 	t.rate = 0

@@ -385,8 +385,9 @@ func TestOfflineMachineRefusesWork(t *testing.T) {
 
 // TestRestartedTaskMatchesFresh: a finished task started again completes
 // at the same instant as a fresh task of the same work started alongside
-// it on an identical machine, and a restart allocates only its completion
-// Event: the completion it bound on its first start is reused.
+// it on an identical machine, and a restart allocates nothing: the
+// completion Event the task holds and the callback it bound on its first
+// start are reused.
 func TestRestartedTaskMatchesFresh(t *testing.T) {
 	e := sim.New()
 	m, ref := newQrad(e), newQrad(e)
@@ -414,7 +415,7 @@ func TestRestartedTaskMatchesFresh(t *testing.T) {
 		m.Start(reused)
 		e.Run(e.Now() + 1)
 	})
-	if allocs != 1 {
-		t.Errorf("a restart allocates %v objects, want 1 (its completion Event)", allocs)
+	if allocs != 0 {
+		t.Errorf("a restart allocates %v objects, want 0", allocs)
 	}
 }

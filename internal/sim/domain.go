@@ -9,14 +9,15 @@ package sim
 // re-arms from the *scheduled* fire time, never from the clock after
 // callbacks, so the grid cannot drift.
 //
-// A domain's event and re-arm closure are allocated once and reused in
-// place, and the subscriber slice keeps its backing storage across
-// compactions, so steady-state ticking allocates nothing.
+// A domain owns its event and binds its fire callback once, re-arming the
+// event in place (Engine.Arm), and the subscriber slice keeps its backing
+// storage across compactions, so steady-state ticking allocates nothing.
 type TickDomain struct {
 	engine *Engine
 	period Time
 	next   Time
-	ev     *Event
+	ev     Event
+	tick   func() // d.fire, bound once
 	subs   []*Sub
 	nDead  int
 	firing bool
@@ -49,7 +50,8 @@ func (e *Engine) Domain(period Time) *TickDomain {
 		return d
 	}
 	d := &TickDomain{engine: e, period: period, next: key.next, active: true}
-	d.ev = e.At(d.next, d.fire)
+	d.tick = d.fire
+	e.Arm(&d.ev, d.next, d.tick)
 	if e.domains == nil {
 		e.domains = make(map[domainKey]*TickDomain)
 	}
@@ -69,8 +71,7 @@ func (d *TickDomain) Subscribe(fn func(now Time)) *Sub {
 		e := d.engine
 		d.next = e.now + d.period
 		e.domains[domainKey{d.period, d.next}] = d
-		d.ev.halted = false
-		e.reschedule(d.ev, d.next)
+		e.Arm(&d.ev, d.next, d.tick)
 		d.active = true
 	}
 	s := &Sub{d: d, fn: fn}
@@ -105,7 +106,7 @@ func (d *TickDomain) fire() {
 	d.next = now + d.period
 	delete(e.domains, domainKey{d.period, now})
 	e.domains[domainKey{d.period, d.next}] = d
-	e.reschedule(d.ev, d.next)
+	e.Arm(&d.ev, d.next, d.tick)
 
 	d.firing = true
 	n := len(d.subs)
@@ -144,9 +145,7 @@ func (d *TickDomain) compact() {
 // just as a fresh ticker would.
 func (d *TickDomain) deactivate() {
 	e := d.engine
-	if d.ev.index >= 0 {
-		e.Cancel(d.ev)
-	}
+	e.Cancel(&d.ev)
 	delete(e.domains, domainKey{d.period, d.next})
 	d.subs = d.subs[:0]
 	d.nDead = 0

@@ -15,8 +15,12 @@
 // cancelled use the transient scheduling paths (AtTransient,
 // AfterTransient), which recycle Event structs through a free list; the
 // callback closure, if the caller builds one per event, is the caller's
-// allocation. At and After allocate one Event per call, the price of a
-// handle that can be cancelled or re-keyed.
+// allocation. An owner that schedules the same kind of event again and
+// again (a task's completion, a request's timer) holds its Event inside
+// its own record and schedules it with Arm: the owner keeps a handle that
+// Reset and Cancel take, and once the event has fired or been cancelled
+// Arm schedules it again, so a re-arm allocates nothing. At and After
+// allocate one Event per call, for callers with no record to keep it in.
 package sim
 
 import "fmt"
@@ -38,12 +42,15 @@ const (
 const Month Time = Year / 12
 
 // Event is a scheduled callback. It is returned by the scheduling methods so
-// callers can cancel it.
+// callers can cancel it, or owned by the caller and scheduled with Arm. The
+// zero Event is unscheduled.
 type Event struct {
-	at     Time
-	seq    uint64
-	fn     func()
-	index  int // heap index, -1 once removed
+	at  Time
+	seq uint64
+	fn  func()
+	// pos is the heap index + 1 while scheduled, 0 otherwise, so a zero
+	// Event embedded in its owner reads as unscheduled.
+	pos    int
 	halted bool
 	// pooled events return to the engine free list after firing. Only
 	// events whose handle never escapes (AtTransient/AfterTransient) may
@@ -57,6 +64,9 @@ func (e *Event) Time() Time { return e.at }
 
 // Cancelled reports whether the event was cancelled before firing.
 func (e *Event) Cancelled() bool { return e.halted }
+
+// Scheduled reports whether the event is waiting to fire.
+func (e *Event) Scheduled() bool { return e.pos > 0 }
 
 // eventHeap is a hand-rolled binary min-heap ordered by (at, seq). seq is
 // unique per scheduled event, so the order is strictly total and the pop
@@ -84,11 +94,11 @@ func (h eventHeap) up(j int) {
 			break
 		}
 		h[j] = p
-		p.index = j
+		p.pos = j + 1
 		j = i
 	}
 	h[j] = ev
-	ev.index = j
+	ev.pos = j + 1
 }
 
 // down sifts h[j] toward the leaves; reports whether it moved.
@@ -111,11 +121,11 @@ func (h eventHeap) down(j int) bool {
 			break
 		}
 		h[j] = c
-		c.index = j
+		c.pos = j + 1
 		j = l
 	}
 	h[j] = ev
-	ev.index = j
+	ev.pos = j + 1
 	return j > j0
 }
 
@@ -128,9 +138,8 @@ func (h eventHeap) fix(i int) {
 
 // push adds ev to the heap.
 func (h *eventHeap) push(ev *Event) {
-	ev.index = len(*h)
 	*h = append(*h, ev)
-	h.up(ev.index)
+	h.up(len(*h) - 1)
 }
 
 // popMin removes and returns the earliest event.
@@ -143,10 +152,9 @@ func (h *eventHeap) popMin() *Event {
 	*h = old[:n]
 	if n > 0 {
 		old[0] = last
-		last.index = 0
 		(*h).down(0)
 	}
-	min.index = -1
+	min.pos = 0
 	return min
 }
 
@@ -158,7 +166,6 @@ func (h *eventHeap) remove(i int) {
 	if i != n {
 		last := old[n]
 		old[i] = last
-		last.index = i
 		old[n] = nil
 		*h = old[:n]
 		(*h).fix(i)
@@ -166,7 +173,7 @@ func (h *eventHeap) remove(i int) {
 		old[n] = nil
 		*h = old[:n]
 	}
-	ev.index = -1
+	ev.pos = 0
 }
 
 // Engine is a discrete-event simulator. The zero value is ready to use.
@@ -217,9 +224,8 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	ev := &Event{at: t, seq: e.seq, fn: fn}
-	e.seq++
-	e.events.push(ev)
+	ev := &Event{}
+	e.Arm(ev, t, fn)
 	return ev
 }
 
@@ -259,15 +265,22 @@ func (e *Engine) AfterTransient(delay Time, fn func()) {
 	e.AtTransient(e.now+delay, fn)
 }
 
-// reschedule re-arms a fired event in place with a fresh sequence number.
-// Only the tick-domain re-arm path uses it: the event must be out of the
-// heap (fired, not cancelled), and reusing the struct plus its closure is
-// what makes periodic ticking allocation-free.
-func (e *Engine) reschedule(ev *Event, t Time) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: rescheduling event at %v before now %v", t, e.now))
+// Arm schedules the caller-owned event ev to run fn at absolute time t,
+// with a fresh sequence number, exactly as At would schedule a new one.
+// ev must not be scheduled: a zero Event, or one that has fired or been
+// cancelled, can be armed; arming one still waiting panics (Reset re-keys
+// it instead). The owner keeps ev in its own record, so arming allocates
+// nothing, and holds the handle Reset and Cancel take. fn is typically
+// bound once by the owner; a closure built per call is the caller's
+// allocation.
+func (e *Engine) Arm(ev *Event, t Time, fn func()) {
+	if ev.pos > 0 {
+		panic("sim: Arm of an event still in the schedule")
 	}
-	ev.at = t
+	if t < e.now {
+		panic(fmt.Sprintf("sim: arming event at %v before now %v", t, e.now))
+	}
+	ev.at, ev.fn, ev.halted = t, fn, false
 	ev.seq = e.seq
 	e.seq++
 	e.events.push(ev)
@@ -281,7 +294,7 @@ func (e *Engine) reschedule(ev *Event, t Time) {
 // time (e.g. task progress under a changing DVFS level). The event must
 // still be scheduled; resetting a fired or cancelled event panics.
 func (e *Engine) Reset(ev *Event, t Time) {
-	if ev == nil || ev.index < 0 {
+	if ev == nil || ev.pos == 0 {
 		panic("sim: Reset of event not in the schedule")
 	}
 	if t < e.now {
@@ -290,17 +303,17 @@ func (e *Engine) Reset(ev *Event, t Time) {
 	ev.at = t
 	ev.seq = e.seq
 	e.seq++
-	e.events.fix(ev.index)
+	e.events.fix(ev.pos - 1)
 }
 
 // Cancel removes a scheduled event. Cancelling an already-fired or
 // already-cancelled event is a no-op, so callers can cancel defensively.
 func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.index < 0 {
+	if ev == nil || ev.pos == 0 {
 		return
 	}
 	ev.halted = true
-	e.events.remove(ev.index)
+	e.events.remove(ev.pos - 1)
 }
 
 // Stop makes Run return after the event currently executing.

@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"df3/internal/metrics"
+	"df3/internal/sim"
 	"df3/internal/units"
 )
 
@@ -14,6 +15,11 @@ import (
 // (above OverheatLimit). Sitting above a *setback* setpoint is not
 // discomfort — a slowly cooling room at 19 °C against a 17 °C night
 // setback is fine.
+//
+// The temperature record is a (sum, count) pair per calendar month, keyed
+// when each tick is observed, so a tracker's size does not grow with the
+// simulated horizon: a season-long run keeps twelve sums per room, not one
+// point per control tick.
 type Comfort struct {
 	// Band is the tolerated shortfall below the setpoint.
 	Band float64
@@ -21,23 +27,32 @@ type Comfort struct {
 	// counts as uncomfortable.
 	OverheatLimit float64
 
-	temp      metrics.Series
+	cal       sim.Calendar
+	months    [12]monthSum // index MonthOfYear-1
 	deviation metrics.Stats
 	inBand    float64 // seconds spent within the band
 	occupied  float64 // seconds evaluated
 }
 
+// monthSum is one calendar month's temperature total and tick count.
+type monthSum struct {
+	sum float64
+	n   int
+}
+
 // NewComfort returns a tracker with the given comfort band (e.g. 1.5 K)
-// and a 26 °C overheat limit.
-func NewComfort(band float64) *Comfort {
-	return &Comfort{Band: band, OverheatLimit: 26}
+// and a 26 °C overheat limit, keying its monthly means on cal.
+func NewComfort(band float64, cal sim.Calendar) *Comfort {
+	return &Comfort{Band: band, OverheatLimit: 26, cal: cal}
 }
 
 // Observe records the zone temperature against the active setpoint for a
-// tick of dt seconds. Pass occupied=false to skip comfort accounting (nobody
-// home) while still recording the temperature trace.
+// tick of dt seconds at time t. Pass occupied=false to skip comfort
+// accounting (nobody home); the temperature still counts in its month.
 func (c *Comfort) Observe(t float64, dt float64, temp, setpoint units.Celsius, occupied bool) {
-	c.temp.Add(t, float64(temp))
+	m := &c.months[c.cal.MonthOfYear(t)-1]
+	m.sum += float64(temp)
+	m.n++
 	if !occupied {
 		return
 	}
@@ -48,9 +63,6 @@ func (c *Comfort) Observe(t float64, dt float64, temp, setpoint units.Celsius, o
 		c.inBand += dt
 	}
 }
-
-// Trace returns the recorded temperature series.
-func (c *Comfort) Trace() *metrics.Series { return &c.temp }
 
 // InBandFraction returns the fraction of occupied time spent inside the
 // comfort band.
@@ -65,8 +77,17 @@ func (c *Comfort) InBandFraction() float64 {
 // occupied time.
 func (c *Comfort) MeanDeviation() float64 { return c.deviation.Mean() }
 
-// MonthlyMeans folds the temperature trace into per-month averages using
-// the calendar key function — this is exactly the Fig. 4 output.
-func (c *Comfort) MonthlyMeans(monthOf func(t float64) int) (months []int, means []float64) {
-	return c.temp.Bucket(monthOf)
+// MonthlyMeans returns the mean observed temperature of every calendar
+// month (1..12) with at least one tick, in ascending month order — the
+// Fig. 4 output. Each month's sum adds its ticks in time order, as
+// metrics.Series.Bucket adds a trace's points, so the means are the same
+// to the bit as bucketing a per-tick trace.
+func (c *Comfort) MonthlyMeans() (months []int, means []float64) {
+	for i, m := range c.months {
+		if m.n > 0 {
+			months = append(months, i+1)
+			means = append(means, m.sum/float64(m.n))
+		}
+	}
+	return months, means
 }

@@ -5,6 +5,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"df3/internal/metrics"
+	"df3/internal/rng"
+	"df3/internal/sim"
 	"df3/internal/units"
 )
 
@@ -170,7 +173,7 @@ func TestWaterLoopHeadroom(t *testing.T) {
 }
 
 func TestComfortInBand(t *testing.T) {
-	c := NewComfort(1.5)
+	c := NewComfort(1.5, sim.JanuaryStart)
 	// 10 ticks at setpoint, 10 ticks far below, all occupied.
 	for i := 0; i < 10; i++ {
 		c.Observe(float64(i)*60, 60, 20, 20, true)
@@ -186,31 +189,58 @@ func TestComfortInBand(t *testing.T) {
 	}
 }
 
+// TestComfortSkipsUnoccupied: an unoccupied tick is left out of the
+// comfort accounting but its temperature still counts in its month.
 func TestComfortSkipsUnoccupied(t *testing.T) {
-	c := NewComfort(1)
+	c := NewComfort(1, sim.JanuaryStart)
 	c.Observe(0, 60, 10, 20, false)
-	if c.InBandFraction() != 0 && c.occupied != 0 {
+	if c.InBandFraction() != 0 || c.occupied != 0 {
 		t.Error("unoccupied tick was counted")
 	}
-	if c.Trace().Len() != 1 {
-		t.Error("temperature trace must record unoccupied ticks too")
+	months, means := c.MonthlyMeans()
+	if len(months) != 1 || months[0] != 1 || means[0] != 10 {
+		t.Errorf("monthly means = %v %v, want the unoccupied tick's 10 °C in January", months, means)
 	}
 }
 
 func TestComfortMonthlyMeans(t *testing.T) {
-	c := NewComfort(1)
-	// Month 0: 20°, month 1: 22°.
+	c := NewComfort(1, sim.NovemberStart)
+	// November: 20°, December: 22°.
 	c.Observe(0, 60, 20, 20, true)
 	c.Observe(1, 60, 20, 20, true)
-	c.Observe(100, 60, 22, 20, true)
-	months, means := c.MonthlyMeans(func(t float64) int {
-		if t < 50 {
-			return 0
-		}
-		return 1
-	})
-	if len(months) != 2 || means[0] != 20 || means[1] != 22 {
+	c.Observe(sim.Month+1, 60, 22, 20, true)
+	months, means := c.MonthlyMeans()
+	if len(months) != 2 || months[0] != 11 || months[1] != 12 || means[0] != 20 || means[1] != 22 {
 		t.Errorf("monthly means = %v %v", months, means)
+	}
+}
+
+// TestComfortMatchesSeriesBucket: the monthly sums reproduce, bit for bit,
+// the means of bucketing a per-tick trace by calendar month, on a random
+// trace that crosses a year end and comes back to its first month.
+func TestComfortMatchesSeriesBucket(t *testing.T) {
+	for _, cal := range []sim.Calendar{sim.NovemberStart, sim.JanuaryStart, {StartDayOfYear: 17.3}} {
+		s := rng.New(42)
+		c := NewComfort(1.5, cal)
+		var trace metrics.Series
+		now := 0.0
+		for now < 14*sim.Month {
+			temp := units.Celsius(15 + 8*s.Float64())
+			c.Observe(now, 60, temp, 21, s.Float64() < 0.7)
+			trace.Add(now, float64(temp))
+			now += 30 + 600*s.Float64()
+		}
+		wantMonths, wantMeans := trace.Bucket(cal.MonthOfYear)
+		months, means := c.MonthlyMeans()
+		if len(months) != len(wantMonths) {
+			t.Fatalf("%+v: months %v, want %v", cal, months, wantMonths)
+		}
+		for i := range months {
+			if months[i] != wantMonths[i] || math.Float64bits(means[i]) != math.Float64bits(wantMeans[i]) {
+				t.Fatalf("%+v: month %d mean %v, bucketed trace gives month %d mean %v",
+					cal, months[i], means[i], wantMonths[i], wantMeans[i])
+			}
+		}
 	}
 }
 

@@ -26,6 +26,7 @@ func wallNow() time.Time {
 // Part from one goroutine at a time.
 type Client struct {
 	conn    net.Conn
+	frames  frameBuf
 	name    string
 	timeout time.Duration
 	owned   []int
@@ -94,10 +95,10 @@ func (c *Client) roundTrip(req uint32, payload []byte, wantReply uint32) ([]byte
 	if err := c.conn.SetDeadline(wallNow().Add(c.timeout)); err != nil {
 		return fail(err)
 	}
-	if err := WriteFrame(c.conn, req, payload); err != nil {
+	if err := c.frames.write(c.conn, req, payload); err != nil {
 		return fail(err)
 	}
-	kind, reply, err := ReadFrame(c.conn)
+	kind, reply, err := c.frames.read(c.conn)
 	if err != nil {
 		return fail(err)
 	}

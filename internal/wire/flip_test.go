@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -84,10 +85,9 @@ func TestEveryTruncationRejected(t *testing.T) {
 }
 
 // TestCorruptLengthNoGiantAllocation: a frame header lying about its
-// length must fail without allocating what the lie promises. The reader
-// streams via io.CopyN, so a 3-byte stream claiming a 32 MiB payload
-// costs 3 bytes, and a length beyond MaxFrame is rejected before any
-// read at all.
+// length must fail without allocating what the lie promises. A 3-byte
+// stream claiming a 32 MiB payload costs one read chunk, and a length
+// beyond MaxFrame is rejected before any read at all.
 func TestCorruptLengthNoGiantAllocation(t *testing.T) {
 	lie := func(length uint32) []byte {
 		var b [12]byte
@@ -104,14 +104,63 @@ func TestCorruptLengthNoGiantAllocation(t *testing.T) {
 	if _, _, err := ReadFrame(bytes.NewReader(lie(MaxFrame + 1))); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("over-MaxFrame length: %v, want ErrCorrupt", err)
 	}
-	allocs := testing.AllocsPerRun(10, func() {
-		ReadFrame(bytes.NewReader(lie(32 << 20)))
+	stream := lie(32 << 20)
+	allocs, bytesPer := allocsAndBytes(10, func() {
+		ReadFrame(bytes.NewReader(stream))
 	})
-	// A streaming read of 3 real bytes needs a handful of small
-	// allocations; a 32 MiB pre-allocation would dwarf this bound.
+	// Reading 3 real bytes needs one chunk plus the error; a 32 MiB
+	// pre-allocation would dwarf both bounds.
 	if allocs > 20 {
 		t.Errorf("corrupt length cost %.0f allocations", allocs)
 	}
+	if limit := float64(2*len(stream) + readChunk + 4096); bytesPer > limit {
+		t.Errorf("corrupt length cost %.0f bytes, over %.0f", bytesPer, limit)
+	}
+}
+
+// allocsAndBytes runs f runs times and returns the mean number of heap
+// allocations and of bytes allocated per run.
+func allocsAndBytes(runs int, f func()) (allocs, bytes float64) {
+	f() // warm up, as testing.AllocsPerRun does
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// FuzzReadFrame: no input makes the frame reader panic, a frame that
+// WriteFrame wrote reads back as written, and a read allocates at most
+// twice the input plus one read chunk (and a few KiB for its error),
+// whatever its header claims.
+func FuzzReadFrame(f *testing.F) {
+	var frame bytes.Buffer
+	if err := WriteFrame(&frame, FrameNext, EncodeNext(Next{Has: true, T: 123.5})); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frame.Bytes())
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0xaa})
+	f.Add([]byte{6, 0, 0, 0, 3, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		_, bytesRead := allocsAndBytes(1, func() {
+			ReadFrame(bytes.NewReader(in))
+		})
+		if limit := float64(2*len(in) + readChunk + 4096); bytesRead > limit {
+			t.Fatalf("reading %d input bytes allocated %.0f bytes, over %.0f", len(in), bytesRead, limit)
+		}
+		kind := uint32(len(in) % 17)
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, kind, in); err != nil {
+			t.Fatal(err)
+		}
+		gotKind, got, err := ReadFrame(&buf)
+		if err != nil || gotKind != kind || !bytes.Equal(got, in) || buf.Len() != 0 {
+			t.Fatalf("round trip of %d bytes: kind %d, %d bytes, %d left, err %v", len(in), gotKind, len(got), buf.Len(), err)
+		}
+	})
 }
 
 // TestHelloRejectsWrongVersion: version skew is corruption, not

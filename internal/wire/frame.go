@@ -81,32 +81,53 @@ func ReadHello(r io.Reader) error {
 
 // WriteFrame emits one frame. The payload is borrowed, not retained.
 func WriteFrame(w io.Writer, kind uint32, payload []byte) error {
+	var fb frameBuf
+	return fb.write(w, kind, payload)
+}
+
+// ReadFrame reads and verifies one frame. The payload comes back in a
+// buffer of exactly its length. A payload longer than readChunk is first
+// read chunk by chunk, so a corrupt length can cost at most the stream's
+// real size plus one chunk — never a MaxFrame-sized allocation for a
+// 3-byte attack.
+func ReadFrame(r io.Reader) (kind uint32, payload []byte, err error) {
+	var fb frameBuf
+	return fb.read(r)
+}
+
+// frameBuf holds what one end of a connection frames with: the buffer
+// every outgoing frame is built in and the header every incoming frame is
+// read into. Client and Serve each keep one, so a frame written allocates
+// nothing once the buffer has grown to the largest frame sent, and a frame
+// read allocates only its payload.
+type frameBuf struct {
+	out []byte
+	hdr [12]byte
+}
+
+// write emits one frame. The payload is borrowed, not retained.
+func (fb *frameBuf) write(w io.Writer, kind uint32, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("wire: frame kind %d payload %d bytes exceeds MaxFrame %d", kind, len(payload), MaxFrame)
 	}
-	frame := make([]byte, 12+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], kind)
-	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(payload)))
-	copy(frame[12:], payload)
-	crc := crc32.NewIEEE()
-	crc.Write(frame[0:8])
-	crc.Write(frame[12:])
-	binary.LittleEndian.PutUint32(frame[8:12], crc.Sum32())
+	b := binary.LittleEndian.AppendUint32(fb.out[:0], kind)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	crc := crc32.Update(crc32.Update(0, crc32.IEEETable, b), crc32.IEEETable, payload)
+	b = binary.LittleEndian.AppendUint32(b, crc)
+	b = append(b, payload...)
+	fb.out = b
 	// One Write per frame: a zero-length payload write would stall
 	// rendezvous transports (net.Pipe) whose reader never issues the
 	// matching zero-byte read, and one syscall per frame is kinder to
 	// TCP besides.
-	_, err := w.Write(frame)
+	_, err := w.Write(b)
 	return err
 }
 
-// ReadFrame reads and verifies one frame. The payload buffer grows with
-// the bytes actually read (io.CopyN into a buffer, as the checkpoint
-// reader does), so a corrupt length can cost at most the stream's real
-// size — never a MaxFrame-sized allocation for a 3-byte attack.
-func ReadFrame(r io.Reader) (kind uint32, payload []byte, err error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// read reads and verifies one frame (see ReadFrame).
+func (fb *frameBuf) read(r io.Reader) (kind uint32, payload []byte, err error) {
+	hdr := fb.hdr[:]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, fmt.Errorf("%w: frame header: %v", ErrTruncated, err)
 	}
 	kind = binary.LittleEndian.Uint32(hdr[0:4])
@@ -115,15 +136,44 @@ func ReadFrame(r io.Reader) (kind uint32, payload []byte, err error) {
 	if length > MaxFrame {
 		return 0, nil, fmt.Errorf("%w: frame kind %d claims %d bytes, max %d", ErrCorrupt, kind, length, MaxFrame)
 	}
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, r, int64(length)); err != nil {
+	payload, err = readPayload(r, int(length))
+	if err != nil {
 		return 0, nil, fmt.Errorf("%w: frame payload: %v", ErrTruncated, err)
 	}
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[0:8])
-	crc.Write(buf.Bytes())
-	if crc.Sum32() != sum {
-		return 0, nil, fmt.Errorf("%w: frame kind %d CRC %#08x, want %#08x", ErrCorrupt, kind, crc.Sum32(), sum)
+	crc := crc32.Update(crc32.Update(0, crc32.IEEETable, hdr[0:8]), crc32.IEEETable, payload)
+	if crc != sum {
+		return 0, nil, fmt.Errorf("%w: frame kind %d CRC %#08x, want %#08x", ErrCorrupt, kind, crc, sum)
 	}
-	return kind, buf.Bytes(), nil
+	return kind, payload, nil
+}
+
+// readChunk bounds how much of a long payload is allocated ahead of the
+// bytes that have actually arrived.
+const readChunk = 64 << 10
+
+// readPayload reads exactly n bytes into a buffer of length n. Up to
+// readChunk bytes are read in place; a longer payload is gathered in
+// chunks and copied once all of it has arrived.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	if n <= readChunk {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	var chunks [][]byte
+	for left := n; left > 0; {
+		c := make([]byte, min(left, readChunk))
+		if _, err := io.ReadFull(r, c); err != nil {
+			return nil, err
+		}
+		chunks = append(chunks, c)
+		left -= len(c)
+	}
+	buf := make([]byte, 0, n)
+	for _, c := range chunks {
+		buf = append(buf, c...)
+	}
+	return buf, nil
 }

@@ -63,13 +63,14 @@ func Serve(conn net.Conn, opts ServeOptions) error {
 	}
 
 	var (
-		fed   *city.Federation
-		owned []int
+		fed    *city.Federation
+		owned  []int
+		frames frameBuf
 	)
 	// sendErr reports an application failure to the coordinator and ends
 	// the session with it.
 	sendErr := func(err error) error {
-		werr := WriteFrame(conn, FrameError, EncodeError(err.Error()))
+		werr := frames.write(conn, FrameError, EncodeError(err.Error()))
 		if werr != nil {
 			return fmt.Errorf("%w (and reporting it failed: %v)", err, werr)
 		}
@@ -79,7 +80,7 @@ func Serve(conn net.Conn, opts ServeOptions) error {
 		if err := conn.SetDeadline(wallNow().Add(timeout)); err != nil {
 			return err
 		}
-		kind, payload, err := ReadFrame(conn)
+		kind, payload, err := frames.read(conn)
 		if err != nil {
 			return err
 		}
@@ -172,7 +173,7 @@ func Serve(conn net.Conn, opts ServeOptions) error {
 			reply = FrameTraceReply
 			body = EncodeChunk(buf.b)
 		case FrameBye:
-			if err := WriteFrame(conn, FrameByeOK, nil); err != nil {
+			if err := frames.write(conn, FrameByeOK, nil); err != nil {
 				return err
 			}
 			logf("bye")
@@ -180,7 +181,7 @@ func Serve(conn net.Conn, opts ServeOptions) error {
 		default:
 			return sendErr(fmt.Errorf("wire: unexpected frame kind %d", kind))
 		}
-		if err := WriteFrame(conn, reply, body); err != nil {
+		if err := frames.write(conn, reply, body); err != nil {
 			return err
 		}
 	}
