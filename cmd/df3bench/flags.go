@@ -14,7 +14,6 @@ type benchConfig struct {
 	quick      bool
 	run        string
 	list       bool
-	shards     int
 	csvDir     string
 	cpuProfile string
 	memProfile string
@@ -54,12 +53,9 @@ func (c benchConfig) validate() error {
 		}
 		return nil
 	}
-	if c.shards < 1 {
-		return fmt.Errorf("-shards %d: need at least one shard", c.shards)
-	}
 	if c.shardprof {
-		// The profiled federation is E19-shaped and self-contained; only
-		// -quick, -shards and -seed tune it.
+		// The profiled federation is a point of E19's sweep and
+		// self-contained; only -quick and -seed tune it.
 		if c.run != "" || c.tracePath != "" || c.csvDir != "" {
 			return fmt.Errorf("-shardprof is a self-contained profile run; -run/-trace/-csv do not apply")
 		}

@@ -20,27 +20,24 @@ func TestBenchConfigValidate(t *testing.T) {
 		cfg     benchConfig
 		wantErr string // "" = valid
 	}{
-		{"defaults", benchConfig{shards: 1}, ""},
-		{"sharded run", benchConfig{shards: 4, run: "E2,E8"}, ""},
-		{"zero shards", benchConfig{shards: 0}, "at least one shard"},
-		{"negative shards", benchConfig{shards: -2}, "at least one shard"},
-		{"unknown experiment", benchConfig{shards: 1, run: "E99"}, "unknown experiment"},
+		{"defaults", benchConfig{}, ""},
+		{"unknown experiment", benchConfig{run: "E99"}, "unknown experiment"},
 		{"list alone", benchConfig{list: true}, ""},
 		{"list with run", benchConfig{list: true, run: "E2"}, "-list takes no other flags"},
 		{"list with trace", benchConfig{list: true, tracePath: out("t.json")}, "-list takes no other flags"},
-		{"trace with capable selection", benchConfig{shards: 1, run: "E18", tracePath: out("t.json")}, ""},
-		{"trace over all experiments", benchConfig{shards: 1, tracePath: out("t2.json")}, ""},
-		{"trace without capable selection", benchConfig{shards: 1, run: "E2", tracePath: out("t.json")}, "trace-capable"},
-		{"trace into missing dir", benchConfig{shards: 1, run: "E18",
+		{"trace with capable selection", benchConfig{run: "E18", tracePath: out("t.json")}, ""},
+		{"trace over all experiments", benchConfig{tracePath: out("t2.json")}, ""},
+		{"trace without capable selection", benchConfig{run: "E2", tracePath: out("t.json")}, "trace-capable"},
+		{"trace into missing dir", benchConfig{run: "E18",
 			tracePath: filepath.Join(dir, "nope", "t.json")}, "-trace"},
-		{"cpuprofile into missing dir", benchConfig{shards: 1,
+		{"cpuprofile into missing dir", benchConfig{
 			cpuProfile: filepath.Join(dir, "nope", "cpu.prof")}, "-cpuprofile"},
-		{"memprofile ok", benchConfig{shards: 1, memProfile: out("mem.prof")}, ""},
-		{"csv creatable dir", benchConfig{shards: 1, csvDir: filepath.Join(dir, "csv")}, ""},
-		{"csv path is a file", benchConfig{shards: 1, csvDir: plain}, "-csv"},
-		{"shardprof", benchConfig{shards: 4, shardprof: true}, ""},
-		{"shardprof quick", benchConfig{shards: 2, shardprof: true, quick: true}, ""},
-		{"shardprof with run", benchConfig{shards: 4, shardprof: true, run: "E2"}, "do not apply"},
+		{"memprofile ok", benchConfig{memProfile: out("mem.prof")}, ""},
+		{"csv creatable dir", benchConfig{csvDir: filepath.Join(dir, "csv")}, ""},
+		{"csv path is a file", benchConfig{csvDir: plain}, "-csv"},
+		{"shardprof", benchConfig{shardprof: true}, ""},
+		{"shardprof quick", benchConfig{shardprof: true, quick: true}, ""},
+		{"shardprof with run", benchConfig{shardprof: true, run: "E2"}, "do not apply"},
 	}
 	for _, c := range cases {
 		err := c.cfg.validate()

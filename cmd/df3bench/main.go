@@ -8,7 +8,7 @@
 //	df3bench -list           # show the index
 //	df3bench -seed 7         # different random universe
 //	df3bench -run E18 -trace chaos.json   # span-trace the chaos sweep for Perfetto
-//	df3bench -run E2,E8 -shards 4         # multi-arm experiments on 4 parallel shards
+//	df3bench -shardprof                   # profile E19's 10-city federation on 4 shards
 package main
 
 import (
@@ -30,12 +30,11 @@ func main() {
 	flag.StringVar(&cfg.run, "run", "", "comma-separated experiment IDs (default: all)")
 	flag.BoolVar(&cfg.list, "list", false, "list experiments and exit")
 	seed := flag.Uint64("seed", 1, "random seed for every stochastic component")
-	flag.IntVar(&cfg.shards, "shards", 1, "run multi-arm experiments on this many parallel shards (byte-identical results)")
 	flag.StringVar(&cfg.csvDir, "csv", "", "also write every table as CSV into this directory")
 	flag.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	flag.StringVar(&cfg.memProfile, "memprofile", "", "write a heap profile taken after the last experiment to this file")
 	flag.StringVar(&cfg.tracePath, "trace", "", "record causal spans in trace-capable experiments (E18) and write Chrome trace-event JSON to this file")
-	flag.BoolVar(&cfg.shardprof, "shardprof", false, "profile the E19 federation: per-shard busy/idle, barrier limiters, lookahead-bound pairs")
+	flag.BoolVar(&cfg.shardprof, "shardprof", false, "profile E19's 10-city federation on 4 shards (-quick: 4 cities on 2): per-shard busy/idle, barrier limiters, lookahead-bound pairs")
 	flag.Parse()
 
 	if err := cfg.validate(); err != nil {
@@ -61,7 +60,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := experiments.Options{Seed: *seed, Quick: cfg.quick, Shards: cfg.shards}
+	opts := experiments.Options{Seed: *seed, Quick: cfg.quick}
 	if cfg.tracePath != "" {
 		opts.Tracer = trace.NewRecorder(0)
 	}

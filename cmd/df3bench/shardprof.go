@@ -4,48 +4,30 @@ import (
 	"fmt"
 	"os"
 
-	"df3/internal/city"
-	"df3/internal/network"
+	"df3/internal/experiments"
 	"df3/internal/report"
-	"df3/internal/sim"
 )
 
-// runShardprofMode profiles the E19-shaped federation: the same scenario
-// the scale sweep measures, but with the kernel profiler on, answering
-// *why* the speedup is what it is — which shards sit idle at barriers,
-// which LP's min-next-event sets the windows, and which boundary pair's
-// lookahead binds the window width. A second, unprofiled twin run proves
-// the profiler is pure observation (identical checksums).
+// runShardprofMode profiles a point of E19's sweep — the 10-city
+// federation on 4 shards, or 4 cities on 2 with -quick — built by E19's
+// own code with the kernel profiler on. It answers *why* the speedup is
+// what it is: which shards sit idle at barriers, which LP's
+// min-next-event sets the windows, and which boundary pair's lookahead
+// binds the window width. A second, unprofiled twin run proves the
+// profiler is pure observation (identical checksums).
 func runShardprofMode(cfg benchConfig, seed uint64) {
-	cities, horizon := 10, 6*sim.Hour
+	cities, shards := 10, 4
 	if cfg.quick {
-		cities, horizon = 4, 2*sim.Hour
+		cities, shards = 4, 2
 	}
-	ccfg := city.DefaultConfig()
-	ccfg.Buildings = 2
-	ccfg.RoomsPerBuilding = 4
-	ccfg.DatacenterNodes = 2
-	backbone := network.DefaultBackbone()
-	backbone.Staging = 120
+	o := experiments.Options{Seed: seed, Quick: cfg.quick}
 
-	build := func() *city.Federation {
-		return city.BuildFederation(city.FederationConfig{
-			Seed: seed, Cities: cities, Shards: cfg.shards, City: ccfg,
-			Backbone: backbone,
-		})
-	}
-	run := func(f *city.Federation) {
-		f.StartEdgeTraffic(horizon, 0.5)
-		f.StartInterCityDCC(horizon, 2)
-		f.Run(horizon + sim.Hour)
-	}
-
-	fmt.Printf("df3bench: shard profile, %d cities on %d shards, seed %d\n", cities, cfg.shards, seed)
-	prof := build()
+	fmt.Printf("df3bench: shard profile, %d cities on %d shards, seed %d\n", cities, shards, seed)
+	prof, until := experiments.E19Point(o, cities, shards)
 	prof.Kernel.EnableProfile()
-	run(prof)
-	twin := build()
-	run(twin)
+	prof.Run(until)
+	twin, _ := experiments.E19Point(o, cities, shards)
+	twin.Run(until)
 
 	rep, ok := prof.Kernel.ProfileReport()
 	if !ok {

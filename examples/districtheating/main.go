@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"df3/internal/city"
+	"df3/internal/metrics"
 	"df3/internal/pricing"
 	"df3/internal/sim"
 )
@@ -26,6 +27,11 @@ func main() {
 	cfg.HeatingSeasonLast = 4
 
 	c := city.Build(cfg)
+	// Split the city's hourly capacity sample by platform, on the city's
+	// own hourly tick domain.
+	var heaterCap, boilerCap metrics.Series
+	heaterCap.SampleEvery(c.Engine, sim.Hour, func(float64) float64 { return c.HeaterFleet.Capacity() })
+	boilerCap.SampleEvery(c.Engine, sim.Hour, func(float64) float64 { return c.BoilerFleet.Capacity() })
 	stop := c.SaturateDCC(1800, 128) // customers queue all year
 	defer stop()
 
@@ -34,8 +40,8 @@ func main() {
 
 	monthOf := func(t float64) int { return cfg.Calendar.MonthOfYear(t) }
 	months, caps := c.CapacitySeries.Bucket(monthOf)
-	_, heaterCaps := c.HeaterCapacity.Bucket(monthOf)
-	_, boilerCaps := c.BoilerCapacity.Bucket(monthOf)
+	_, heaterCaps := heaterCap.Bucket(monthOf)
+	_, boilerCaps := boilerCap.Bucket(monthOf)
 	_, temps := c.OutdoorSeries.Bucket(monthOf)
 	curve := pricing.DefaultSpotCurve()
 	max := c.Fleet.MaxCapacity()

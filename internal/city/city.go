@@ -58,8 +58,6 @@ type Config struct {
 	DatacenterNodes int
 	// ControlPeriod is the thermostat/thermal tick (default 60 s).
 	ControlPeriod sim.Time
-	// SampleEvery is the metrics sampling period (default 1 h; 0 disables).
-	SampleEvery sim.Time
 	// AlwaysOnBoilers keeps boiler machines at full power regardless of
 	// loop temperature (the §III-C waste-heat stress case).
 	AlwaysOnBoilers bool
@@ -120,7 +118,6 @@ func DefaultConfig() Config {
 		Middleware:       core.DefaultConfig(),
 		DatacenterNodes:  8,
 		ControlPeriod:    60,
-		SampleEvery:      sim.Hour,
 	}
 }
 
@@ -170,15 +167,10 @@ type City struct {
 	HeaterFleet server.Fleet
 	BoilerFleet server.Fleet
 	DCFleet     server.Fleet
-	// CapacitySeries samples fleet capacity (core-equivalents);
-	// HeaterCapacity and BoilerCapacity split it by platform.
+	// CapacitySeries samples fleet capacity (core-equivalents) every
+	// hour; OutdoorSeries samples outdoor temperature on the same tick.
 	CapacitySeries metrics.Series
-	HeaterCapacity metrics.Series
-	BoilerCapacity metrics.Series
-	// OutdoorSeries samples outdoor temperature.
-	OutdoorSeries metrics.Series
-	// HeatDemandSeries samples summed requested heat power (W).
-	HeatDemandSeries metrics.Series
+	OutdoorSeries  metrics.Series
 	// Outages counts machine failures injected so far.
 	Outages metrics.Counter
 	// LinkOutages and GatewayOutages count injected network failures.
@@ -262,36 +254,13 @@ func Build(cfg Config) *City {
 		c.armGatewayFaults()
 	}
 
-	if cfg.SampleEvery > 0 {
-		c.startSamplers(cfg.SampleEvery)
-	}
-	return c
-}
-
-// startSamplers registers the hourly fleet/outdoor/demand series on one
-// shared tick domain: five samplers, one heap event per sampling period.
-func (c *City) startSamplers(every sim.Time) {
-	e := c.Engine
-	c.CapacitySeries.SampleEvery(e, every, func(float64) float64 { return c.Fleet.Capacity() })
-	c.HeaterCapacity.SampleEvery(e, every, func(float64) float64 { return c.HeaterFleet.Capacity() })
-	c.BoilerCapacity.SampleEvery(e, every, func(float64) float64 { return c.BoilerFleet.Capacity() })
-	c.OutdoorSeries.SampleEvery(e, every, func(now float64) float64 {
+	// The hourly series share one tick domain: one heap event per hour,
+	// which callers may subscribe further samplers to.
+	c.CapacitySeries.SampleEvery(e, sim.Hour, func(float64) float64 { return c.Fleet.Capacity() })
+	c.OutdoorSeries.SampleEvery(e, sim.Hour, func(now float64) float64 {
 		return float64(c.Weather.OutdoorTemp(now))
 	})
-	c.HeatDemandSeries.SampleEvery(e, every, func(float64) float64 {
-		demand := 0.0
-		for _, b := range c.Buildings {
-			for _, r := range b.Rooms {
-				if r.Loop != nil {
-					demand += float64(r.Loop.Requested())
-				}
-			}
-			if b.Boiler != nil {
-				demand += float64(b.Boiler.lastDraw)
-			}
-		}
-		return demand
-	})
+	return c
 }
 
 // thermostat builds a fresh controller per room.

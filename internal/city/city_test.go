@@ -132,7 +132,6 @@ func TestBoilerBuilding(t *testing.T) {
 
 func TestMonthlyComfortOutput(t *testing.T) {
 	cfg := smallCfg()
-	cfg.SampleEvery = sim.Hour
 	c := Build(cfg)
 	stop := c.SaturateDCC(600, 32)
 	defer stop()

@@ -28,11 +28,11 @@ func newChaosTable() *report.Table {
 // balance exactly at every level — chaos may lose messages, never
 // accounting.
 //
-// Each chaos level is one independent city arm: with -shards the nine
-// cities run in parallel on the sharded kernel with byte-identical
-// results. Tracing stays shard-safe: under -shards each arm records into
-// its own recorder (recorders are not concurrency-safe) and the recorders
-// merge into o.Tracer, in scenario order, at collection time.
+// Each chaos level is one independent city arm: the nine cities run in
+// parallel on the fanout pool and are read in scenario order. A traced arm
+// records into its own recorder (recorders are not concurrency-safe),
+// which merges into o.Tracer as the arm is read; the merge gives spans and
+// processes the ids one shared recorder would have.
 func E18Chaos(o Options) *Result {
 	res := newResult("E18 chaos: graceful degradation under network faults")
 	horizon := 2 * sim.Day
@@ -60,81 +60,81 @@ func E18Chaos(o Options) *Result {
 
 	cities := make([]*city.City, len(scenarios))
 	tracers := make([]*trace.Recorder, len(scenarios))
+	capacity := 0
+	if o.Tracer != nil {
+		capacity = o.Tracer.Capacity()
+	}
 	t := newChaosTable()
 	balancedAll := true
 	servedFracs := make([]float64, 0, len(scenarios))
 
-	runArms(o, len(scenarios),
-		func(i int) (*sim.Engine, sim.Time) {
-			s := scenarios[i]
-			cfg := city.DefaultConfig()
-			cfg.Seed = o.Seed
-			cfg.Buildings = 3
-			cfg.RoomsPerBuilding = 5
-			if o.Quick {
-				cfg.Buildings = 2
-				cfg.RoomsPerBuilding = 4
+	fanoutCollect(len(scenarios), func(i int) {
+		s := scenarios[i]
+		cfg := city.DefaultConfig()
+		cfg.Seed = o.Seed
+		cfg.Buildings = 3
+		cfg.RoomsPerBuilding = 5
+		if o.Quick {
+			cfg.Buildings = 2
+			cfg.RoomsPerBuilding = 4
+		}
+		// The resilience ladder under test: 1 s response timeout, up to 3
+		// retries climbing local → horizontal → vertical, DCC payloads
+		// retried on an exponential backoff.
+		cfg.Middleware.ResponseTimeout = 1
+		cfg.Middleware.EdgeMaxRetries = 3
+		cfg.Middleware.DCCMaxRetries = 3
+		cfg.Middleware.DCCRetryBackoff = 0.5
+		if s.loss > 0 {
+			cfg.LinkLoss = map[string]float64{
+				"lan": s.loss, "metro": s.loss, "internet": s.loss, "fibre": s.loss,
 			}
-			// The resilience ladder under test: 1 s response timeout, up to 3
-			// retries climbing local → horizontal → vertical, DCC payloads
-			// retried on an exponential backoff.
-			cfg.Middleware.ResponseTimeout = 1
-			cfg.Middleware.EdgeMaxRetries = 3
-			cfg.Middleware.DCCMaxRetries = 3
-			cfg.Middleware.DCCRetryBackoff = 0.5
-			if s.loss > 0 {
-				cfg.LinkLoss = map[string]float64{
-					"lan": s.loss, "metro": s.loss, "internet": s.loss, "fibre": s.loss,
-				}
+		}
+		if s.linkMTBF > 0 {
+			// Metro links flap at the given MTBF; building LANs are an
+			// order steadier.
+			cfg.LinkMTBF = map[string]sim.Time{
+				"metro": s.linkMTBF, "lan": 10 * s.linkMTBF,
 			}
-			if s.linkMTBF > 0 {
-				// Metro links flap at the given MTBF; building LANs are an
-				// order steadier.
-				cfg.LinkMTBF = map[string]sim.Time{
-					"metro": s.linkMTBF, "lan": 10 * s.linkMTBF,
-				}
-			}
-			cfg.GatewayMTBF = s.gwMTBF
+		}
+		cfg.GatewayMTBF = s.gwMTBF
 
-			c := city.Build(cfg)
-			if o.Tracer != nil {
-				rec := o.Tracer
-				if o.Shards > 1 {
-					rec = trace.NewRecorder(o.Tracer.Capacity())
-					tracers[i] = rec
-				}
-				rec.BeginProcess("E18 " + s.name)
-				c.EnableTracing(rec)
-			}
-			c.StartEdgeTraffic(horizon, 1)
-			c.StartDCCTraffic(horizon, 1.5)
-			cities[i] = c
-			return c.Engine, horizon + 12*sim.Hour // drain the tail
-		},
-		func(i int) {
-			s, c := scenarios[i], cities[i]
-			if tracers[i] != nil {
-				o.Tracer.Merge(tracers[i])
-			}
-			e := &c.MW.Edge
-			d := &c.MW.DCC
-			servedFrac := float64(e.Served.Value()) / float64(e.Submitted.Value())
-			servedFracs = append(servedFracs, servedFrac)
-			balanced := e.Submitted.Value() == e.Served.Value()+e.Rejected.Value() &&
-				d.JobsSubmitted.Value() == d.JobsDone.Value()+d.JobsLost.Value()
-			if !balanced {
-				balancedAll = false
-			}
-			balance := "ok"
-			if !balanced {
-				balance = "VIOLATED"
-			}
-			t.Row(s.name, servedFrac, e.Latency.P99()*1000,
-				e.Retries.Value(), e.TimedOut.Value(),
-				d.Throughput(horizon), d.JobsLost.Value(),
-				c.MessagesLost.Value(),
-				c.LinkOutages.Value()+c.GatewayOutages.Value(), balance)
-		})
+		c := city.Build(cfg)
+		if o.Tracer != nil {
+			rec := trace.NewRecorder(capacity)
+			rec.BeginProcess("E18 " + s.name)
+			c.EnableTracing(rec)
+			tracers[i] = rec
+		}
+		c.StartEdgeTraffic(horizon, 1)
+		c.StartDCCTraffic(horizon, 1.5)
+		c.Engine.Run(horizon + 12*sim.Hour) // drain the tail
+		cities[i] = c
+	}, func(i int) {
+		s, c := scenarios[i], cities[i]
+		o.Tracer.Merge(tracers[i])
+		// Release the arm once read, so a traced sweep holds only the arms
+		// still waiting to be read, not every arm's spans twice.
+		cities[i], tracers[i] = nil, nil
+		e := &c.MW.Edge
+		d := &c.MW.DCC
+		servedFrac := float64(e.Served.Value()) / float64(e.Submitted.Value())
+		servedFracs = append(servedFracs, servedFrac)
+		balanced := e.Submitted.Value() == e.Served.Value()+e.Rejected.Value() &&
+			d.JobsSubmitted.Value() == d.JobsDone.Value()+d.JobsLost.Value()
+		if !balanced {
+			balancedAll = false
+		}
+		balance := "ok"
+		if !balanced {
+			balance = "VIOLATED"
+		}
+		t.Row(s.name, servedFrac, e.Latency.P99()*1000,
+			e.Retries.Value(), e.TimedOut.Value(),
+			d.Throughput(horizon), d.JobsLost.Value(),
+			c.MessagesLost.Value(),
+			c.LinkOutages.Value()+c.GatewayOutages.Value(), balance)
+	})
 	res.Tables = append(res.Tables, t)
 
 	res.Findings["served_frac_clean"] = servedFracs[0]

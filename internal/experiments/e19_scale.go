@@ -28,35 +28,11 @@ func E19ShardScale(o Options) *Result {
 
 	// The sweep: city counts scale the seed city 10× and 100× (full mode);
 	// each scale runs at 1, 2 and 4 shards against the serial reference.
-	horizon := 6 * sim.Hour
 	scales := []int{10, 100}
 	shardCounts := []int{1, 2, 4}
-	cfg := city.DefaultConfig()
-	cfg.Buildings = 2
-	cfg.RoomsPerBuilding = 4
-	cfg.DatacenterNodes = 2
 	if o.Quick {
-		horizon = 2 * sim.Hour
 		scales = []int{2, 4}
 		shardCounts = []int{1, 2}
-	}
-
-	// Inter-city offload is staged batch work: jobs accumulate at the
-	// boundary for a couple of minutes before dispatch. The staging floor is
-	// the kernel's lookahead, so it also sets the window length — long
-	// enough to average out per-city workload bursts inside each window.
-	backbone := network.DefaultBackbone()
-	backbone.Staging = 120
-
-	run := func(cities, shards int) (*city.Federation, uint64) {
-		f := city.BuildFederation(city.FederationConfig{
-			Seed: o.Seed, Cities: cities, Shards: shards, City: cfg,
-			Backbone: backbone,
-		})
-		f.StartEdgeTraffic(horizon, 0.5)
-		f.StartInterCityDCC(horizon, 2)
-		f.Run(horizon + sim.Hour)
-		return f, f.Checksum()
 	}
 
 	t := report.NewTable("federation scale sweep (shard kernel vs serial)",
@@ -66,7 +42,9 @@ func E19ShardScale(o Options) *Result {
 	for _, cities := range scales {
 		var ref uint64
 		for _, shards := range shardCounts {
-			f, sum := run(cities, shards)
+			f, until := E19Point(o, cities, shards)
+			f.Run(until)
+			sum := f.Checksum()
 			st := f.Kernel.Stats()
 			identical := "ref"
 			if shards == shardCounts[0] {
@@ -97,4 +75,33 @@ func E19ShardScale(o Options) *Result {
 	res.Notes = append(res.Notes,
 		"speedup is the deterministic barrier-synchronous bound (events / critical-path events); wall-clock matches it on a machine with ≥shards cores")
 	return res
+}
+
+// E19Point builds one point of E19's sweep: a federation of `cities`
+// template cities (2 buildings × 4 rooms, 2 datacenter nodes) on `shards`
+// kernel workers, with E19's edge and inter-city traffic started. It
+// returns the federation and the time to run it to: the traffic horizon
+// (6 h, or 2 h with o.Quick) plus an hour of drain.
+func E19Point(o Options, cities, shards int) (*city.Federation, sim.Time) {
+	horizon := 6 * sim.Hour
+	if o.Quick {
+		horizon = 2 * sim.Hour
+	}
+	cfg := city.DefaultConfig()
+	cfg.Buildings = 2
+	cfg.RoomsPerBuilding = 4
+	cfg.DatacenterNodes = 2
+	// Inter-city offload is staged batch work: jobs accumulate at the
+	// boundary for a couple of minutes before dispatch. The staging floor is
+	// the kernel's lookahead, so it also sets the window length — long
+	// enough to average out per-city workload bursts inside each window.
+	backbone := network.DefaultBackbone()
+	backbone.Staging = 120
+	f := city.BuildFederation(city.FederationConfig{
+		Seed: o.Seed, Cities: cities, Shards: shards, City: cfg,
+		Backbone: backbone,
+	})
+	f.StartEdgeTraffic(horizon, 0.5)
+	f.StartInterCityDCC(horizon, 2)
+	return f, horizon + sim.Hour
 }

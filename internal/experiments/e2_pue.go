@@ -16,8 +16,8 @@ import (
 // The DF fleet additionally reports the fraction of energy delivered as
 // useful heat, which the datacenter rejects through its chillers.
 //
-// Each platform is one independent arm: with -shards the four fleets run
-// in parallel on the sharded kernel, producing byte-identical results.
+// Each platform is one independent arm, and the four fleets run in
+// parallel on the fanout pool.
 func E2PUE(o Options) *Result {
 	res := newResult("E2 PUE: DF fleet vs classical datacenter")
 	nDF, nDC := 24, 12
@@ -37,7 +37,6 @@ func E2PUE(o Options) *Result {
 		{"classical datacenter", server.DatacenterNodeSpec(), nDC},
 	}
 	type outcome struct {
-		e             *sim.Engine
 		fleet         server.Fleet
 		done          int
 		pue, heatFrac float64
@@ -45,35 +44,31 @@ func E2PUE(o Options) *Result {
 	}
 	outs := make([]outcome, len(arms))
 
-	runArms(o, len(arms),
-		func(i int) (*sim.Engine, sim.Time) {
-			a, out := arms[i], &outs[i]
-			out.e = sim.New()
-			var machines []*server.Machine
-			for m := 0; m < a.n; m++ {
-				mc := a.spec.Build(out.e, fmt.Sprintf("m-%d", m))
-				machines = append(machines, mc)
-				out.fleet.Add(mc)
-			}
-			pool := sched.NewPool(out.e, sched.FCFS, machines)
-			stream := rng.New(o.Seed)
-			for f := 0; f < frames; f++ {
-				t := &server.Task{Work: stream.Pareto(120, 2.2)}
-				t.OnDone = func(sim.Time) { out.done++ }
-				pool.Submit(t, 0, nil)
-			}
-			return out.e, 30 * sim.Day
-		},
-		func(i int) {
-			out := &outs[i]
-			if out.done != frames {
-				panic(fmt.Sprintf("experiments: campaign incomplete: %d/%d", out.done, frames))
-			}
-			it, fac, heat := out.fleet.Energy(out.e.Now())
-			out.pue = float64(fac) / float64(it)
-			out.heatFrac = float64(heat) / float64(fac)
-			out.makespan = out.e.Now()
-		})
+	fanout(len(arms), func(i int) {
+		a, out := arms[i], &outs[i]
+		e := sim.New()
+		var machines []*server.Machine
+		for m := 0; m < a.n; m++ {
+			mc := a.spec.Build(e, fmt.Sprintf("m-%d", m))
+			machines = append(machines, mc)
+			out.fleet.Add(mc)
+		}
+		pool := sched.NewPool(e, sched.FCFS, machines)
+		stream := rng.New(o.Seed)
+		for f := 0; f < frames; f++ {
+			t := &server.Task{Work: stream.Pareto(120, 2.2)}
+			t.OnDone = func(sim.Time) { out.done++ }
+			pool.Submit(t, 0, nil)
+		}
+		e.Run(30 * sim.Day)
+		if out.done != frames {
+			panic(fmt.Sprintf("experiments: campaign incomplete: %d/%d", out.done, frames))
+		}
+		it, fac, heat := out.fleet.Energy(e.Now())
+		out.pue = float64(fac) / float64(it)
+		out.heatFrac = float64(heat) / float64(fac)
+		out.makespan = e.Now()
+	})
 
 	t := report.NewTable("PUE on an identical batch campaign",
 		"platform", "PUE", "useful-heat fraction", "makespan h")

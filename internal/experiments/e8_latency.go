@@ -15,8 +15,8 @@ import (
 // the cloud-only path across the Internet. Expected shape: direct <
 // indirect ≪ cloud, with the cloud penalty set by Internet RTT.
 //
-// Each path is one independent city arm: with -shards the three cities run
-// in parallel on the sharded kernel, producing byte-identical results.
+// Each path is one independent city arm: the three cities run in parallel
+// on the fanout pool and are read in arm order.
 func E8EdgeLatency(o Options) *Result {
 	res := newResult("E8 edge latency: direct vs indirect vs cloud")
 	horizon := 2 * sim.Day
@@ -32,13 +32,6 @@ func E8EdgeLatency(o Options) *Result {
 		return cfg
 	}
 
-	type row struct {
-		name              string
-		mean, median, p99 float64
-		served            int64
-		miss              float64
-		note              string
-	}
 	arms := []struct {
 		name, finding string
 	}{
@@ -47,42 +40,35 @@ func E8EdgeLatency(o Options) *Result {
 		{"cloud-only", "cloud_median_ms"},
 	}
 	cities := make([]*city.City, len(arms))
-	rows := make([]row, len(arms))
-
-	runArms(o, len(arms),
-		func(i int) (*sim.Engine, sim.Time) {
-			cfg := base()
-			if i == 2 { // cloud-only: same city, every request forced vertical
-				cfg.Middleware.Offload = baseline.AlwaysVertical{}
-			}
-			c := city.Build(cfg)
-			if i == 0 {
-				c.StartDirectEdgeTraffic(horizon, 1)
-			} else {
-				c.StartEdgeTraffic(horizon, 1)
-			}
-			cities[i] = c
-			return c.Engine, horizon + sim.Hour
-		},
-		func(i int) {
-			e := &cities[i].MW.Edge
-			note := ""
-			switch i {
-			case 0:
-				note = fmt.Sprintf("%d fallbacks", e.DirectFallbacks.Value())
-			case 2:
-				note = "via Internet to DC"
-			}
-			rows[i] = row{arms[i].name, e.Latency.Mean() * 1000, e.Latency.Median() * 1000,
-				e.Latency.P99() * 1000, e.Served.Value(), e.MissRate(), note}
-			res.Findings[arms[i].finding] = e.Latency.Median() * 1000
-		})
 
 	t := report.NewTable("edge service paths on the alarm-detection workload",
 		"path", "mean ms", "median ms", "p99 ms", "served", "miss rate", "note")
-	for _, r := range rows {
-		t.Row(r.name, r.mean, r.median, r.p99, r.served, r.miss, r.note)
-	}
+	fanoutCollect(len(arms), func(i int) {
+		cfg := base()
+		if i == 2 { // cloud-only: same city, every request forced vertical
+			cfg.Middleware.Offload = baseline.AlwaysVertical{}
+		}
+		c := city.Build(cfg)
+		if i == 0 {
+			c.StartDirectEdgeTraffic(horizon, 1)
+		} else {
+			c.StartEdgeTraffic(horizon, 1)
+		}
+		c.Engine.Run(horizon + sim.Hour)
+		cities[i] = c
+	}, func(i int) {
+		e := &cities[i].MW.Edge
+		note := ""
+		switch i {
+		case 0:
+			note = fmt.Sprintf("%d fallbacks", e.DirectFallbacks.Value())
+		case 2:
+			note = "via Internet to DC"
+		}
+		t.Row(arms[i].name, e.Latency.Mean()*1000, e.Latency.Median()*1000,
+			e.Latency.P99()*1000, e.Served.Value(), e.MissRate(), note)
+		res.Findings[arms[i].finding] = e.Latency.Median() * 1000
+	})
 	res.Tables = append(res.Tables, t)
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"median latency: direct %.1f ms < indirect %.1f ms < cloud %.1f ms",

@@ -24,12 +24,6 @@ type Options struct {
 	// process in the recorder, exportable as Chrome trace-event JSON.
 	// Tracing is pure observation — results are identical with it on.
 	Tracer *trace.Recorder
-	// Shards > 1 executes multi-arm experiments on the sharded kernel:
-	// independent scenario arms become logical processes spread over this
-	// many worker goroutines. Results are byte-identical to the serial
-	// kernel (the arms are independent engines); only wall-clock moves.
-	// E19 additionally uses it as the upper bound of its scale sweep.
-	Shards int
 }
 
 // DefaultOptions is the full-fidelity configuration.

@@ -38,3 +38,28 @@ func fanout(n int, job func(i int)) {
 	close(next)
 	wg.Wait()
 }
+
+// fanoutCollect is fanout with an ordered read-out on the calling
+// goroutine: collect(i) runs once job(i) has finished and collect has run
+// for every lower i. Arms are read in arm order while later arms still
+// run, so each arm's state can be released as soon as it is read instead
+// of when the last arm finishes.
+func fanoutCollect(n int, job, collect func(i int)) {
+	done := make([]chan struct{}, n)
+	for i := range done {
+		done[i] = make(chan struct{})
+	}
+	ran := make(chan struct{})
+	go func() {
+		defer close(ran)
+		fanout(n, func(i int) {
+			job(i)
+			close(done[i])
+		})
+	}()
+	for i, d := range done {
+		<-d
+		collect(i)
+	}
+	<-ran
+}

@@ -119,9 +119,6 @@ func (h *HeaterLoop) tick(now sim.Time, dt sim.Time) {
 	}
 }
 
-// Requested returns the heat power most recently requested by the host.
-func (h *HeaterLoop) Requested() units.Watt { return h.requested }
-
 // ResistorEnergy returns the cumulative backup-resistor energy — heat the
 // operator had to deliver without monetising it as compute.
 func (h *HeaterLoop) ResistorEnergy() units.Joule { return h.resistorEnergy }

@@ -24,7 +24,7 @@ type kernelProfile struct {
 	// min-next-event — the LP the whole federation waited for.
 	limiter []uint64
 	// limitedWindows counts windows that had a limiter (the catch-up
-	// window and Infinite-lookahead runs have none).
+	// window has none).
 	limitedWindows uint64
 }
 

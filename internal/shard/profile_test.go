@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"df3/internal/rng"
-	"df3/internal/sim"
 )
 
 // TestProfileDeterminism is the profiler's contract: a profiled run must
@@ -150,32 +147,6 @@ func TestEnableProfileAfterRunPanics(t *testing.T) {
 	k.EnableProfile()
 }
 
-// msgRing is ringModel's traffic shape in SendMsg form, so the model can
-// also run split into restricted parts: every LP sends a message one step
-// around the ring on each Poisson arrival, with delay lookahead plus
-// jitter, and each delivery schedules a local follow-up on the receiver.
-func msgRing(k *Kernel, n int, until sim.Time) {
-	k.SetDecoder(func(dst *LP, kind uint32, payload []byte) (func(), error) {
-		return func() { dst.Engine.AfterTransient(0.25, func() {}) }, nil
-	})
-	lps := make([]*LP, n)
-	for i := range lps {
-		lps[i] = k.AddLP(fmt.Sprintf("lp-%d", i), sim.New(), until)
-	}
-	for i, lp := range lps {
-		stream := rng.New(42).ForkNamed(fmt.Sprintf("gen-%d", i))
-		dst := lps[(i+1)%n]
-		var arrival func()
-		arrival = func() {
-			k.SendMsg(lp, dst, k.Lookahead()+stream.Exp(0.5), 128, 1, nil)
-			if next := lp.Engine.Now() + stream.Exp(0.2); next <= until {
-				lp.Engine.AtTransient(next, arrival)
-			}
-		}
-		lp.Engine.At(stream.Exp(0.2), arrival)
-	}
-}
-
 // TestLimiterAcrossParts: the limiter is attributed where Sync places the
 // barrier, so a profiled model split into restricted in-process parts
 // attributes every window to the same LPs as the one-kernel run.
@@ -184,7 +155,7 @@ func TestLimiterAcrossParts(t *testing.T) {
 	build := func() *Kernel {
 		k := NewKernel(2, lookahead)
 		k.EnableProfile()
-		msgRing(k, n, until)
+		buildRing(k, n, until)
 		return k
 	}
 	limiters := func(ks ...*Kernel) (map[string]uint64, uint64) {

@@ -3,13 +3,13 @@
 // kernel deliberately refuses to be.
 //
 // The unit of sequential execution is a logical process (LP): one engine,
-// one deterministic sub-simulation (a city in a federation, or one arm of a
-// multi-scenario experiment). LPs are assigned to shards; each shard is a
-// worker goroutine that runs its LPs one after another through bounded time
-// windows. Cross-LP interaction never touches another LP's state directly:
-// it travels as a message through the sender's ordered outbox, is collected
-// at the window barrier, globally sorted by (arrival time, sender, sender
-// sequence) and scheduled onto the destination engines before the next
+// one deterministic sub-simulation (a city in a federation). LPs are
+// assigned to shards; each shard is a worker goroutine that runs its LPs
+// one after another through bounded time windows. Cross-LP interaction
+// never touches another LP's state directly: it travels as a (kind,
+// payload) message through the sender's ordered outbox, is collected at
+// the window barrier, globally sorted by (arrival time, sender, sender
+// sequence) and decoded onto the destination engines before the next
 // window opens.
 //
 // Conservative correctness is the classic lookahead argument: every message
@@ -40,11 +40,6 @@ import (
 	"df3/internal/units"
 )
 
-// Infinite is the lookahead of a kernel whose LPs never exchange messages
-// (independent experiment arms): a single window runs every LP to its own
-// horizon.
-const Infinite sim.Time = -1
-
 // LP is one logical process: an engine plus its horizon and mailbox state.
 type LP struct {
 	ID   int
@@ -53,14 +48,15 @@ type LP struct {
 	// schedule on it except the shard kernel's barrier delivery.
 	Engine *sim.Engine
 	// Until is the LP's own horizon; the kernel never advances it past
-	// this, so arms with different horizons keep their exact serial Now().
+	// this, so the LP's clock ends exactly where a serial
+	// Engine.Run(Until) would leave it.
 	Until sim.Time
 
 	shard int
 	// outbox holds messages sent by this LP in the current window. Only
 	// the LP's own shard worker appends (inside callbacks), and only the
 	// barrier drains, so no lock is needed.
-	outbox []message
+	outbox []Msg
 	// seq orders this LP's sends; with the sender ID it makes message
 	// order a pure function of simulation content.
 	seq uint64
@@ -71,16 +67,6 @@ type LP struct {
 
 // Shard reports the shard the LP is assigned to.
 func (lp *LP) Shard() int { return lp.shard }
-
-// message is one cross-LP event in a kernel mailbox: the Msg plus, for
-// Send, the closure to run on the destination engine. A message sent with
-// SendMsg has no closure; its (Kind, Payload) is resolved through the
-// kernel's Decoder at delivery — the only form that can cross a process
-// boundary.
-type message struct {
-	Msg
-	fn func()
-}
 
 // PairTraffic accounts messages and bytes that crossed one (src shard, dst
 // shard) boundary — the shard layer's view of cross-shard traffic.
@@ -153,13 +139,13 @@ type Kernel struct {
 
 // NewKernel returns a kernel with the given worker count and lookahead.
 // lookahead is the minimum cross-LP message delay (derive it from the
-// minimum cross-shard network latency of the model); pass Infinite when the
-// LPs are independent. shards < 1 panics.
+// minimum cross-shard network latency of the model). shards < 1 or a
+// lookahead that is not positive panics.
 func NewKernel(shards int, lookahead sim.Time) *Kernel {
 	if shards < 1 {
 		panic(fmt.Sprintf("shard: kernel with %d shards", shards))
 	}
-	if lookahead != Infinite && lookahead <= 0 {
+	if !(lookahead > 0) {
 		panic(fmt.Sprintf("shard: non-positive lookahead %v", lookahead))
 	}
 	return &Kernel{
@@ -180,7 +166,8 @@ func (k *Kernel) Shards() int { return k.shards }
 // way they pace one engine.
 func (k *Kernel) Now() sim.Time { return k.now }
 
-// Lookahead returns the kernel's lookahead (Infinite for independent LPs).
+// Lookahead returns the kernel's lookahead: the minimum delay of any
+// cross-LP message, and the width every window adds to the next event.
 func (k *Kernel) Lookahead() sim.Time { return k.lookahead }
 
 // AddLP registers an engine as a logical process running to its own horizon
@@ -287,41 +274,25 @@ func (k *Kernel) owns(lp *LP) bool { return k.owned == nil || k.owned[lp.ID] }
 // delivered; shared verbatim by every node of a federation.
 func (k *Kernel) SetDecoder(d Decoder) { k.decoder = d }
 
-// Send queues fn to run on dst's engine `delay` seconds after src's current
-// time, carrying `size` accounting bytes over the shard boundary. It must
-// be called from within src's own event callbacks (that is the only context
-// the sender's clock is meaningful in). Delays below the kernel lookahead
-// panic: they would let a message arrive inside an already-running window,
-// which is exactly the causality violation conservative synchronization
-// exists to rule out.
-//
-// A closure message cannot leave the process; scenarios that may run
-// partitioned use SendMsg instead.
-func (k *Kernel) Send(src, dst *LP, delay sim.Time, size units.Byte, fn func()) {
-	k.send(src, dst, delay, size, message{fn: fn})
-}
-
-// SendMsg queues a (kind, payload) message — the serialisable form of
-// Send, resolved by the kernel's Decoder at delivery time. Same clock and
-// lookahead contract as Send.
+// SendMsg queues a (kind, payload) message for dst, arriving `delay`
+// seconds after src's current time and carrying `size` accounting bytes
+// over the shard boundary. The kernel's Decoder resolves it into the event
+// to run on dst's engine at delivery, so the same message can cross a
+// process boundary. It must be called from within src's own event
+// callbacks (that is the only context the sender's clock is meaningful
+// in), and payload must not be modified afterwards. Delays below the
+// kernel lookahead panic: they would let a message arrive inside an
+// already-running window, which is exactly the causality violation
+// conservative synchronization exists to rule out.
 func (k *Kernel) SendMsg(src, dst *LP, delay sim.Time, size units.Byte, kind uint32, payload []byte) {
-	k.send(src, dst, delay, size, message{Msg: Msg{Kind: kind, Payload: payload}})
-}
-
-func (k *Kernel) send(src, dst *LP, delay sim.Time, size units.Byte, m message) {
-	if k.lookahead == Infinite {
-		panic("shard: Send on a kernel with Infinite lookahead (no channels declared)")
-	}
 	if delay < k.lookahead {
 		panic(fmt.Sprintf("shard: %q→%q delay %v violates lookahead %v",
 			src.Name, dst.Name, delay, k.lookahead))
 	}
-	m.At = src.Engine.Now() + delay
-	m.Src, m.Dst = src.ID, dst.ID
-	m.Seq = src.seq
-	m.Size = float64(size)
-	m.Delay = delay
-	src.outbox = append(src.outbox, m)
+	src.outbox = append(src.outbox, Msg{
+		At: src.Engine.Now() + delay, Src: src.ID, Dst: dst.ID, Seq: src.seq,
+		Size: float64(size), Delay: delay, Kind: kind, Payload: payload,
+	})
 	src.seq++
 }
 
@@ -440,14 +411,14 @@ func (k *Kernel) runWindow(end sim.Time) {
 }
 
 // deliverBatch sorts a message batch into (at, src, seq) order, resolves
-// payload messages through the decoder and schedules every message onto
-// its destination engine, with boundary-traffic accounting. Delivery
-// happens strictly between windows.
-func (k *Kernel) deliverBatch(batch []message) error {
+// every message through the decoder and schedules it onto its destination
+// engine, with boundary-traffic accounting. Delivery happens strictly
+// between windows.
+func (k *Kernel) deliverBatch(batch []Msg) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	sort.Slice(batch, func(i, j int) bool { return batch[i].before(&batch[j].Msg) })
+	SortMsgs(batch)
 	for _, m := range batch {
 		src, dst := k.lps[m.Src], k.lps[m.Dst]
 		if math.IsNaN(m.At) {
@@ -472,16 +443,12 @@ func (k *Kernel) deliverBatch(batch []message) error {
 		if src.shard != dst.shard {
 			k.stats.CrossShard++
 		}
-		fn := m.fn
-		if fn == nil {
-			if k.decoder == nil {
-				return fmt.Errorf("shard: message kind %d for %q but no decoder registered", m.Kind, dst.Name)
-			}
-			var err error
-			fn, err = k.decoder(dst, m.Kind, m.Payload)
-			if err != nil {
-				return fmt.Errorf("shard: decode message kind %d for %q: %w", m.Kind, dst.Name, err)
-			}
+		if k.decoder == nil {
+			return fmt.Errorf("shard: message kind %d for %q but no decoder registered", m.Kind, dst.Name)
+		}
+		fn, err := k.decoder(dst, m.Kind, m.Payload)
+		if err != nil {
+			return fmt.Errorf("shard: decode message kind %d for %q: %w", m.Kind, dst.Name, err)
 		}
 		dst.Engine.AtTransient(m.At, fn)
 		// A delivered message can revive a drained LP.
@@ -545,19 +512,14 @@ func (k *Kernel) RunWindow(end sim.Time) (WindowResult, error) {
 	k.runWindow(end)
 	res := WindowResult{PerShard: append([]uint64(nil), k.perShard...)}
 	sent0, cross0 := k.stats.Sent, k.stats.CrossShard
-	var local []message
+	var local []Msg
 	for _, lp := range k.lps {
 		for _, m := range lp.outbox {
 			if k.owns(k.lps[m.Dst]) {
 				local = append(local, m)
-				continue
+			} else {
+				res.Msgs = append(res.Msgs, m)
 			}
-			if m.fn != nil {
-				return WindowResult{}, fmt.Errorf(
-					"shard: closure message %q→%q cannot cross a partition boundary (use SendMsg)",
-					k.lps[m.Src].Name, k.lps[m.Dst].Name)
-			}
-			res.Msgs = append(res.Msgs, m.Msg)
 		}
 		lp.outbox = lp.outbox[:0]
 	}
@@ -579,8 +541,7 @@ func (k *Kernel) RunWindow(end sim.Time) (WindowResult, error) {
 // NaN or in the destination's past is refused with an error.
 func (k *Kernel) Deliver(batch []Msg) error {
 	k.ran = true
-	msgs := make([]message, len(batch))
-	for i, m := range batch {
+	for _, m := range batch {
 		if m.Src < 0 || m.Src >= len(k.lps) {
 			return fmt.Errorf("shard: delivery from LP %d, kernel has %d", m.Src, len(k.lps))
 		}
@@ -590,7 +551,6 @@ func (k *Kernel) Deliver(batch []Msg) error {
 		if !k.owns(k.lps[m.Dst]) {
 			return fmt.Errorf("shard: delivery for LP %d, which this partition does not own", m.Dst)
 		}
-		msgs[i] = message{Msg: m}
 	}
-	return k.deliverBatch(msgs)
+	return k.deliverBatch(batch)
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -8,15 +9,24 @@ import (
 	"df3/internal/sim"
 )
 
-// ringModel builds K interacting LPs on a kernel: each LP runs a Poisson
-// generator off its own ForkNamed substream and, on every arrival, sends a
-// message one step around the ring with a delay of lookahead plus a jittered
-// slack. Receivers fold (time, payload) into a per-LP digest and schedule a
-// local follow-up event, so the digest is sensitive to event order, message
-// order and RNG draws alike.
+// ringModel builds the ring of buildRing on k and runs it to until,
+// returning each LP's digest.
 func ringModel(t *testing.T, k *Kernel, n int, until sim.Time) []uint64 {
 	t.Helper()
-	const lookahead = 5
+	digests := buildRing(k, n, until)
+	k.Run(until)
+	return digests
+}
+
+// buildRing builds n interacting LPs on a kernel without running them:
+// each LP runs a Poisson generator off its own ForkNamed substream and, on
+// every arrival, sends a (kind, payload) message one step around the ring
+// with a delay of lookahead plus a jittered slack. The decoder folds
+// (payload, arrival time) into the receiver's digest and schedules a local
+// follow-up event, so the digests are sensitive to event order, message
+// order and RNG draws alike. The model also runs split into restricted
+// parts under a Sync; each digest is then read from the LP's owner.
+func buildRing(k *Kernel, n int, until sim.Time) []uint64 {
 	digests := make([]uint64, n)
 	lps := make([]*LP, n)
 	for i := 0; i < n; i++ {
@@ -28,6 +38,17 @@ func ringModel(t *testing.T, k *Kernel, n int, until sim.Time) []uint64 {
 		h *= 1099511628211
 		digests[i] = h
 	}
+	k.SetDecoder(func(dst *LP, kind uint32, payload []byte) (func(), error) {
+		if kind != 1 || len(payload) != 8 {
+			return nil, fmt.Errorf("ring message kind %d with %d payload bytes", kind, len(payload))
+		}
+		j, v := dst.ID, binary.LittleEndian.Uint64(payload)
+		return func() {
+			fold(j, v)
+			fold(j, uint64(dst.Engine.Now()*1e6))
+			dst.Engine.AfterTransient(0.25, func() { fold(j, 7) })
+		}, nil
+	})
 	for i := 0; i < n; i++ {
 		i := i
 		stream := rng.New(42).ForkNamed(fmt.Sprintf("gen-%d", i))
@@ -36,15 +57,9 @@ func ringModel(t *testing.T, k *Kernel, n int, until sim.Time) []uint64 {
 		arrival = func() {
 			now := e.Now()
 			fold(i, uint64(now*1e6))
-			dst := lps[(i+1)%n]
-			delay := lookahead + stream.Exp(0.5)
-			payload := stream.Uint64()
-			k.Send(lps[i], dst, delay, 128, func() {
-				j := dst.ID
-				fold(j, payload)
-				fold(j, uint64(dst.Engine.Now()*1e6))
-				dst.Engine.AfterTransient(0.25, func() { fold(j, 7) })
-			})
+			delay := k.Lookahead() + stream.Exp(0.5)
+			payload := binary.LittleEndian.AppendUint64(nil, stream.Uint64())
+			k.SendMsg(lps[i], lps[(i+1)%n], delay, 128, 1, payload)
 			next := stream.Exp(0.2)
 			if now+next <= until {
 				e.AtTransient(now+next, arrival)
@@ -52,7 +67,6 @@ func ringModel(t *testing.T, k *Kernel, n int, until sim.Time) []uint64 {
 		}
 		e.At(stream.Exp(0.2), arrival)
 	}
-	k.Run(until)
 	return digests
 }
 
@@ -131,15 +145,16 @@ func TestStatsAndBoundary(t *testing.T) {
 	}
 }
 
-// TestIndependentLPs runs channel-free arms under Infinite lookahead: one
-// window, per-LP horizons respected exactly.
+// TestIndependentLPs runs LPs that exchange no messages under a finite
+// lookahead: the windows advance on the next event, and each LP stops
+// exactly at its own horizon however far the others run.
 func TestIndependentLPs(t *testing.T) {
-	k := NewKernel(3, Infinite)
+	k := NewKernel(3, 5)
 	horizons := []sim.Time{10, 25, 40}
 	counts := make([]int, len(horizons))
 	for i, h := range horizons {
 		i := i
-		lp := k.AddLP(fmt.Sprintf("arm-%d", i), sim.New(), h)
+		lp := k.AddLP(fmt.Sprintf("lp-%d", i), sim.New(), h)
 		var tick func()
 		tick = func() {
 			counts[i]++
@@ -151,14 +166,14 @@ func TestIndependentLPs(t *testing.T) {
 	for i, h := range horizons {
 		lp := k.LPs()[i]
 		if lp.Engine.Now() != h {
-			t.Errorf("arm %d clock %v, want %v", i, lp.Engine.Now(), h)
+			t.Errorf("LP %d clock %v, want %v", i, lp.Engine.Now(), h)
 		}
 		if want := int(h); counts[i] != want {
-			t.Errorf("arm %d ticked %d, want %d", i, counts[i], want)
+			t.Errorf("LP %d ticked %d, want %d", i, counts[i], want)
 		}
 	}
-	if w := k.Stats().Windows; w != 1 {
-		t.Errorf("independent LPs ran %d windows, want 1", w)
+	if st := k.Stats(); st.Windows == 0 || st.Sent != 0 {
+		t.Errorf("independent LPs ran %d windows and sent %d messages", st.Windows, st.Sent)
 	}
 }
 
@@ -166,15 +181,16 @@ func TestIndependentLPs(t *testing.T) {
 // kernel must refuse loudly.
 func TestLookaheadViolationPanics(t *testing.T) {
 	k := NewKernel(2, 5)
+	k.SetDecoder(func(*LP, uint32, []byte) (func(), error) { return func() {}, nil })
 	a := k.AddLP("a", sim.New(), 10)
 	b := k.AddLP("b", sim.New(), 10)
 	a.Engine.At(1, func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("Send below lookahead did not panic")
+				t.Error("SendMsg below lookahead did not panic")
 			}
 		}()
-		k.Send(a, b, 1, 0, func() {})
+		k.SendMsg(a, b, 1, 0, 1, nil)
 	})
 	k.Run(10)
 }

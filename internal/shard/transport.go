@@ -11,12 +11,12 @@
 // sequence and one (at, src, seq) ordering, which is what keeps an
 // N-node run byte-identical to serial.
 //
-// Closures cannot cross a process boundary, so partition-crossing
-// messages are data: a kind tag plus an opaque payload, resolved into an
-// event closure on the destination side by the Decoder the scenario
-// registers (city.Federation registers its inter-city job codec). Local
-// messages may still carry closures; only messages that leave the
-// partition must be serialisable.
+// Closures cannot cross a process boundary, so every cross-LP message is
+// data: a kind tag plus an opaque payload, resolved into an event closure
+// on the destination side by the Decoder the scenario registers
+// (city.Federation registers its inter-city job codec). Messages that stay
+// inside a partition take the same decode path as those that leave it, so
+// a local delivery cannot behave differently from a remote one.
 package shard
 
 import (
@@ -117,7 +117,7 @@ type Sync struct {
 // the LPs it owns. Ownership must be disjoint; the union must cover
 // every Dst that messages will name.
 func NewSync(lookahead sim.Time, parts []Part) (*Sync, error) {
-	if lookahead != Infinite && lookahead <= 0 {
+	if !(lookahead > 0) {
 		return nil, fmt.Errorf("shard: non-positive lookahead %v", lookahead)
 	}
 	if len(parts) == 0 {
@@ -186,15 +186,11 @@ func (s *Sync) Run(until sim.Time) error {
 // nextBarrier gathers every partition's earliest event (concurrently —
 // remote partitions answer over the network) and picks the next window
 // end: the earliest event plus the lookahead, clamped to `until`. It
-// reports false when no partition has work before `until`; independent
-// LPs (Infinite lookahead) get one window to `until`. The limiter is the
-// lowest-index part holding the earliest event.
+// reports false when no partition has work before `until`. The limiter is
+// the lowest-index part holding the earliest event.
 func (s *Sync) nextBarrier(until sim.Time) (sim.Time, bool, error) {
 	if s.now >= until {
 		return 0, false, nil
-	}
-	if s.lookahead == Infinite {
-		return until, s.stats.Windows == 0, nil
 	}
 	type proposal struct {
 		t   sim.Time

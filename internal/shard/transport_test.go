@@ -122,25 +122,6 @@ func TestSyncMatchesKernelRun(t *testing.T) {
 	}
 }
 
-// TestClosureCannotCrossPartition: a closure message whose destination is
-// unowned must fail the window, not be silently dropped or misdelivered.
-func TestClosureCannotCrossPartition(t *testing.T) {
-	k := NewKernel(1, 3)
-	a := k.AddLP("a", sim.New(), 100)
-	b := k.AddLP("b", sim.New(), 100)
-	a.Engine.AtTransient(1, func() {
-		k.Send(a, b, 3, 0, func() {})
-	})
-	k.Own([]int{0})
-	if _, _, err := k.NextEvent(); err != nil {
-		t.Fatal(err)
-	}
-	_, err := k.RunWindow(10)
-	if err == nil || !strings.Contains(err.Error(), "closure") {
-		t.Fatalf("RunWindow error = %v, want closure-crossing error", err)
-	}
-}
-
 // TestWindowEndNaNRejected: a NaN window end compares false against every
 // horizon, so it would run every LP to completion; it must fail instead.
 func TestWindowEndNaNRejected(t *testing.T) {
